@@ -1,6 +1,8 @@
 package model
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -192,4 +194,43 @@ func TestFP16BackwardWithoutLossPanics(t *testing.T) {
 	m := New(tinyConfig(), 1)
 	m.SetFP16Compute(true)
 	m.Backward()
+}
+
+// gradsHash is an FNV-1a digest of the gradient buffer's exact bits.
+func gradsHash(g []float32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, v := range g {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// Bitwise golden for the fp16 path: one Loss/Backward at loss scale 1024
+// must reproduce these exact loss bits, gradient bits and overflow flag.
+// Tolerance tests against f32 cannot tell a reordered rounding point from
+// an unchanged path; this one can.
+func TestFP16BitwiseGolden(t *testing.T) {
+	const (
+		wantLossBits  = uint64(0x4006ae855aac66ca)
+		wantGradsHash = uint64(0xeabf88b4ec1cb8b4)
+	)
+	cfg := Config{Layers: 2, Hidden: 32, Heads: 4, Vocab: 17, Seq: 16}
+	ids, targets := SyntheticBatch(7, 2, cfg.Seq, cfg.Vocab)
+	m := New(cfg, 42)
+	m.SetFP16Compute(true)
+	m.LossScale = 1024
+	m.ZeroGrads()
+	loss := m.Loss(ids, targets, 2)
+	m.Backward()
+	if got := math.Float64bits(loss); got != wantLossBits {
+		t.Errorf("fp16 loss %.17g (bits %#x), want bits %#x", loss, got, wantLossBits)
+	}
+	if got := gradsHash(m.Grads); got != wantGradsHash {
+		t.Errorf("fp16 grads hash %#x, want %#x", got, wantGradsHash)
+	}
+	if m.TakeOverflow() {
+		t.Error("unexpected overflow at loss scale 1024")
+	}
 }

@@ -196,3 +196,34 @@ func TestFP16ComputeResidencyUnder60Percent(t *testing.T) {
 			fp16Bytes, f32Bytes, 100*float64(fp16Bytes)/float64(f32Bytes))
 	}
 }
+
+// Bitwise golden for the FP16Compute trainer: 10 steps of stage 3 with
+// overlap and prefetch (4 ranks, seed 7, lr 1e-3, batch 4, data seed 31)
+// walk exactly these losses. Unlike the tolerance test above, any change
+// to a rounding point or kernel order on the half path shows here.
+func TestFP16ComputeTrajectoryGolden(t *testing.T) {
+	golden := []float64{
+		2.9445831174423516,
+		2.894122094006343,
+		2.8542399583793534,
+		2.8248818660086483,
+		2.8020093487673816,
+		2.7825724091374635,
+		2.7649241246731346,
+		2.7481486836628028,
+		2.7318227570729019,
+		2.715571411148781,
+	}
+	cfg := testConfig()
+	const n, steps, batch = 4, 10, 4
+	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
+	got := lossTrajectory(cfg, n, steps, batch, Options{
+		Stage: StageFull, LR: testLR, Seed: testSeed,
+		Overlap: true, Prefetch: true, FP16Compute: true,
+	}, ids, targets)
+	for s, want := range golden {
+		if got[s] != want {
+			t.Errorf("step %d: fp16 loss %.17g, want golden %.17g", s, got[s], want)
+		}
+	}
+}
