@@ -10,38 +10,42 @@ import (
 // that exp underflows to zero after the softmax max-shift.
 const causalMask = -1e9
 
-// blockForward computes one transformer block given acts.x (the block
-// input, [M,h]), fills the remaining activation fields and writes the block
-// output into out (a workspace buffer owned by the caller), returning it.
-// All activation buffers are drawn from the persistent workspace and fully
-// overwritten — the forward kernels (matmul, layernorm, softmax, GELU)
-// write their destinations, so stale values from the previous step never
-// leak into the math.
-func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLen int) []float32 {
+// blockForward computes one transformer block on the residual stream x
+// ([M,h]), overwriting x with the block output and saving into acts exactly
+// the tensors blockBackward reads. Every kernel writes its destination in
+// full, so stale values from the previous step never leak into the math.
+// Saved tensors are computed into st.out's buffer and then kept; under fp16
+// storage each stage names the shared fp32 buffer it borrows.
+func (m *Model) blockForward(i int, acts *blockActs, x []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
 	heads := m.Cfg.Heads
 	dh := h / heads
 	ffn := 4 * h
 	mRows := batch * seqLen
 	off := m.Layout.blocks[i]
-	p := m.Params
+	st := m.st
 	ws := &m.ws
 
 	// LN1.
-	acts.a = grow(acts.a, mRows*h)
-	acts.xhat1 = grow(acts.xhat1, mRows*h)
+	a := st.out(&acts.a, &ws.a, mRows*h)
+	xhat := st.out(&acts.xhat1, &ws.mlin, mRows*h)
 	acts.invStd1 = grow(acts.invStd1, mRows)
-	tensor.LayerNorm(acts.a, acts.xhat1, acts.invStd1, acts.x,
-		p[off.ln1Gamma:off.ln1Gamma+h], p[off.ln1Beta:off.ln1Beta+h], mRows, h, lnEps)
+	tensor.LayerNorm(a, xhat, acts.invStd1, x,
+		st.vec(&ws.pGamma, off.ln1Gamma, h), st.vec(&ws.pBeta, off.ln1Beta, h), mRows, h, lnEps)
+	st.keep(&acts.xhat1, 0, xhat)
+	st.keep(&acts.a, 0, a)
 
 	// QKV projection.
-	acts.qkv = grow(acts.qkv, mRows*3*h)
-	tensor.MatMul(acts.qkv, acts.a, p[off.wQKV:off.wQKV+h*3*h], mRows, h, 3*h)
-	tensor.AddBiasRows(acts.qkv, p[off.bQKV:off.bQKV+3*h], mRows, 3*h)
+	qkv := st.out(&acts.qkv, &ws.qkv, mRows*3*h)
+	st.mm(qkv, acts.a, off.wQKV, mRows, h, 3*h)
+	tensor.AddBiasRows(qkv, st.vec(&ws.pBias, off.bQKV, 3*h), mRows, 3*h)
+	st.keep(&acts.qkv, 0, qkv)
 
-	// Multi-head causal self-attention.
-	acts.probs = grow(acts.probs, batch*heads*seqLen*seqLen)
-	acts.ctx = grow(acts.ctx, mRows*h)
+	// Multi-head causal self-attention. Each head's softmax is kept before
+	// the context matmul reads it, so backward replays the same
+	// probabilities.
+	allProbs := st.out(&acts.probs, &ws.attn, batch*heads*seqLen*seqLen)
+	ctx := st.out(&acts.ctx, &ws.ctx, mRows*h)
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	ws.qh = grow(ws.qh, seqLen*dh)
 	ws.kh = grow(ws.kh, seqLen*dh)
@@ -50,8 +54,9 @@ func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLe
 	qh, kh, vh, ctxh := ws.qh, ws.kh, ws.vh, ws.ctxh
 	for b := 0; b < batch; b++ {
 		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(acts.qkv, qh, kh, vh, b, hd, batch, seqLen)
-			probs := acts.probs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
+			m.gatherHead(qkv, qh, kh, vh, b, hd, batch, seqLen)
+			lo := (b*heads + hd) * seqLen * seqLen
+			probs := allProbs[lo : lo+seqLen*seqLen]
 			tensor.MatMulBT(probs, qh, kh, seqLen, dh, seqLen)
 			for t := 0; t < seqLen; t++ {
 				row := probs[t*seqLen : (t+1)*seqLen]
@@ -64,37 +69,45 @@ func (m *Model) blockForward(i int, acts *blockActs, out []float32, batch, seqLe
 				}
 			}
 			tensor.SoftmaxRows(probs, probs, seqLen, seqLen)
+			st.keep(&acts.probs, lo, probs)
 			tensor.MatMul(ctxh, probs, vh, seqLen, seqLen, dh)
 			// Scatter the head's context back into [M,h].
 			for t := 0; t < seqLen; t++ {
-				copy(acts.ctx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh], ctxh[t*dh:(t+1)*dh])
+				copy(ctx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh], ctxh[t*dh:(t+1)*dh])
 			}
 		}
 	}
+	st.keep(&acts.ctx, 0, ctx)
 
-	// Output projection + residual.
-	acts.attnOut = grow(acts.attnOut, mRows*h)
-	tensor.MatMul(acts.attnOut, acts.ctx, p[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.AddBiasRows(acts.attnOut, p[off.bProj:off.bProj+h], mRows, h)
-	acts.x2 = grow(acts.x2, mRows*h)
-	copy(acts.x2, acts.x)
-	tensor.Add(acts.x2, acts.attnOut)
+	// Output projection + residual: x2 = proj(ctx) + x.
+	ws.x2 = grow(ws.x2, mRows*h)
+	x2 := ws.x2
+	st.mm(x2, acts.ctx, off.wProj, mRows, h, h)
+	tensor.AddBiasRows(x2, st.vec(&ws.pBias, off.bProj, h), mRows, h)
+	tensor.Add(x2, x)
+	st.round(x2)
 
 	// LN2 + MLP + residual.
-	acts.mlin = grow(acts.mlin, mRows*h)
-	acts.xhat2 = grow(acts.xhat2, mRows*h)
+	mlin := st.out(&acts.mlin, &ws.mlin, mRows*h)
+	xhat = st.out(&acts.xhat2, &ws.a, mRows*h)
 	acts.invStd2 = grow(acts.invStd2, mRows)
-	tensor.LayerNorm(acts.mlin, acts.xhat2, acts.invStd2, acts.x2,
-		p[off.ln2Gamma:off.ln2Gamma+h], p[off.ln2Beta:off.ln2Beta+h], mRows, h, lnEps)
-	acts.h1 = grow(acts.h1, mRows*ffn)
-	tensor.MatMul(acts.h1, acts.mlin, p[off.wFC1:off.wFC1+h*ffn], mRows, h, ffn)
-	tensor.AddBiasRows(acts.h1, p[off.bFC1:off.bFC1+ffn], mRows, ffn)
-	acts.g = grow(acts.g, mRows*ffn)
-	tensor.GELU(acts.g, acts.h1)
-	tensor.MatMul(out, acts.g, p[off.wFC2:off.wFC2+ffn*h], mRows, ffn, h)
-	tensor.AddBiasRows(out, p[off.bFC2:off.bFC2+h], mRows, h)
-	tensor.Add(out, acts.x2)
-	return out
+	tensor.LayerNorm(mlin, xhat, acts.invStd2, x2,
+		st.vec(&ws.pGamma, off.ln2Gamma, h), st.vec(&ws.pBeta, off.ln2Beta, h), mRows, h, lnEps)
+	st.keep(&acts.xhat2, 0, xhat)
+	st.keep(&acts.mlin, 0, mlin)
+
+	h1 := st.out(&acts.h1, &ws.h1, mRows*ffn)
+	st.mm(h1, acts.mlin, off.wFC1, mRows, h, ffn)
+	tensor.AddBiasRows(h1, st.vec(&ws.pBias, off.bFC1, ffn), mRows, ffn)
+	st.keep(&acts.h1, 0, h1)
+	g := st.out(&acts.g, &ws.g, mRows*ffn)
+	tensor.GELU(g, h1)
+	st.keep(&acts.g, 0, g)
+
+	st.mm(x, acts.g, off.wFC2, mRows, ffn, h)
+	tensor.AddBiasRows(x, st.vec(&ws.pBias, off.bFC2, h), mRows, h)
+	tensor.Add(x, x2)
+	st.round(x)
 }
 
 // gatherHead copies one (sample, head) slice of the packed QKV activations
@@ -111,56 +124,65 @@ func (m *Model) gatherHead(qkv, qh, kh, vh []float32, b, hd, batch, seqLen int) 
 }
 
 // blockBackward consumes dOut (gradient of the block output) and the
-// activations from blockForward, accumulates parameter gradients, and
-// writes the gradient with respect to the block input into dst (which must
-// not alias dOut; the caller double-buffers). Workspace scratch reused
-// across steps is either fully overwritten by the overwrite-kernels
-// (MatMul/MatMulBT, copies) or explicitly zeroed before an accumulating
-// kernel (GELUBackward, MatMulATAdd, SoftmaxRowsBackward) — matching the
-// zero state fresh allocations used to provide.
-func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch, seqLen int) {
+// tensors blockForward saved, accumulates parameter gradients, and writes
+// the gradient with respect to the block input into dst (which must not
+// alias dOut; the caller double-buffers), returning it as the next block's
+// dOut. Scratch reused across steps is either fully overwritten by the
+// overwrite-kernels (MatMul/MatMulBT, copies) or explicitly zeroed before
+// an accumulating kernel (GELUBackward, SoftmaxRowsBackward).
+//
+// The d-tensors reuse the layer's fp32 working set: dX2 in x2, dG in g,
+// dMlin in mlin, dCtx in ctx, dQKV in h1 and dA in a. Under fp16 storage
+// saved tensors decode into the staging buffers that are free at that
+// point (h1, a and mlin for the two xhats, qkv, attn).
+func (m *Model) blockBackward(i int, acts *blockActs, dOut operand, dst []float32, batch, seqLen int) operand {
 	h := m.Cfg.Hidden
 	heads := m.Cfg.Heads
 	dh := h / heads
 	ffn := 4 * h
 	mRows := batch * seqLen
 	off := m.Layout.blocks[i]
-	p, g := m.Params, m.Grads
+	g := m.Grads
+	st := m.st
 	ws := &m.ws
 
 	// Residual: out = x2 + MLP(LN2(x2)) ⇒ dx2 starts as dOut.
-	ws.dX2 = grow(ws.dX2, mRows*h)
-	dX2 := ws.dX2
-	copy(dX2, dOut)
+	ws.x2 = grow(ws.x2, mRows*h)
+	dX2 := ws.x2
+	copy(dX2, dOut.f)
 
 	// MLP backward.
-	ws.dG = grow(ws.dG, mRows*ffn)
-	dG := ws.dG
-	tensor.MatMulBT(dG, dOut, p[off.wFC2:off.wFC2+ffn*h], mRows, h, ffn)
-	tensor.MatMulATAdd(g[off.wFC2:off.wFC2+ffn*h], acts.g, dOut, mRows, ffn, h)
-	tensor.BiasGradRows(g[off.bFC2:off.bFC2+h], dOut, mRows, h)
+	ws.g = grow(ws.g, mRows*ffn)
+	dG := ws.g
+	st.mmBT(dG, dOut, off.wFC2, mRows, h, ffn)
+	st.mmATAdd(g[off.wFC2:off.wFC2+ffn*h], acts.g, dOut, mRows, ffn, h)
+	tensor.BiasGradRows(g[off.bFC2:off.bFC2+h], dOut.f, mRows, h)
 	ws.dH1 = grow(ws.dH1, mRows*ffn)
 	dH1 := ws.dH1
 	tensor.Zero(dH1) // GELUBackward accumulates
-	tensor.GELUBackward(dH1, dG, acts.h1)
-	ws.dMlin = grow(ws.dMlin, mRows*h)
-	dMlin := ws.dMlin
-	tensor.MatMulBT(dMlin, dH1, p[off.wFC1:off.wFC1+h*ffn], mRows, ffn, h)
-	tensor.MatMulATAdd(g[off.wFC1:off.wFC1+h*ffn], acts.mlin, dH1, mRows, h, ffn)
+	tensor.GELUBackward(dH1, dG, st.load(acts.h1, &ws.h1))
+	dh1 := st.stage(dH1)
+	ws.mlin = grow(ws.mlin, mRows*h)
+	dMlin := ws.mlin
+	st.mmBT(dMlin, dh1, off.wFC1, mRows, ffn, h)
+	st.mmATAdd(g[off.wFC1:off.wFC1+h*ffn], acts.mlin, dh1, mRows, h, ffn)
 	tensor.BiasGradRows(g[off.bFC1:off.bFC1+ffn], dH1, mRows, ffn)
 	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
-		dMlin, acts.xhat2, acts.invStd2, p[off.ln2Gamma:off.ln2Gamma+h], mRows, h)
+		dMlin, st.load(acts.xhat2, &ws.a), acts.invStd2, st.vec(&ws.pGamma, off.ln2Gamma, h), mRows, h)
 
 	// Attention output projection backward (dAttnOut == dX2: x2 = x + attnOut).
-	ws.dCtx = grow(ws.dCtx, mRows*h)
-	dCtx := ws.dCtx
-	tensor.MatMulBT(dCtx, dX2, p[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.MatMulATAdd(g[off.wProj:off.wProj+h*h], acts.ctx, dX2, mRows, h, h)
+	dx2 := st.stage(dX2)
+	ws.ctx = grow(ws.ctx, mRows*h)
+	dCtx := ws.ctx
+	st.mmBT(dCtx, dx2, off.wProj, mRows, h, h)
+	st.mmATAdd(g[off.wProj:off.wProj+h*h], acts.ctx, dx2, mRows, h, h)
 	tensor.BiasGradRows(g[off.bProj:off.bProj+h], dX2, mRows, h)
 
 	// Attention core backward, per (sample, head).
-	ws.dQKV = grow(ws.dQKV, mRows*3*h)
-	dQKV := ws.dQKV
+	qkv := st.load(acts.qkv, &ws.qkv)
+	allProbs := st.load(acts.probs, &ws.attn)
+	ws.h1 = grow(ws.h1, mRows*3*h)
+	dQKV := ws.h1
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	ws.qh = grow(ws.qh, seqLen*dh)
 	ws.kh = grow(ws.kh, seqLen*dh)
@@ -176,8 +198,8 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	dqh, dkh, dvh := ws.dqh, ws.dkh, ws.dvh
 	for b := 0; b < batch; b++ {
 		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(acts.qkv, qh, kh, vh, b, hd, batch, seqLen)
-			probs := acts.probs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
+			m.gatherHead(qkv, qh, kh, vh, b, hd, batch, seqLen)
+			probs := allProbs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
 			for t := 0; t < seqLen; t++ {
 				copy(dctxh[t*dh:(t+1)*dh], dCtx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh])
 			}
@@ -203,14 +225,16 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut, dst []float32, batch
 	}
 
 	// QKV projection backward.
-	ws.dA = grow(ws.dA, mRows*h)
-	dA := ws.dA
-	tensor.MatMulBT(dA, dQKV, p[off.wQKV:off.wQKV+h*3*h], mRows, 3*h, h)
-	tensor.MatMulATAdd(g[off.wQKV:off.wQKV+h*3*h], acts.a, dQKV, mRows, h, 3*h)
+	dqkv := st.stage(dQKV)
+	ws.a = grow(ws.a, mRows*h)
+	dA := ws.a
+	st.mmBT(dA, dqkv, off.wQKV, mRows, 3*h, h)
+	st.mmATAdd(g[off.wQKV:off.wQKV+h*3*h], acts.a, dqkv, mRows, h, 3*h)
 	tensor.BiasGradRows(g[off.bQKV:off.bQKV+3*h], dQKV, mRows, 3*h)
 
 	// LN1 + residual: dx = dx2 (residual) + LN1-backward(dA).
 	copy(dst, dX2)
 	tensor.LayerNormBackward(dst, g[off.ln1Gamma:off.ln1Gamma+h], g[off.ln1Beta:off.ln1Beta+h],
-		dA, acts.xhat1, acts.invStd1, p[off.ln1Gamma:off.ln1Gamma+h], mRows, h)
+		dA, st.load(acts.xhat1, &ws.mlin), acts.invStd1, st.vec(&ws.pGamma, off.ln1Gamma, h), mRows, h)
+	return st.stage(dst)
 }

@@ -1,83 +1,149 @@
 package model
 
-import (
-	"math"
+import "repro/internal/tensor"
 
-	"repro/internal/tensor"
-)
-
-// The fp16 compute path: the GPU mixed-precision contract (§B of the ZeRO
-// paper) realized in storage. When FP16Compute is on, every tensor that
-// persists across the step — saved forward activations, the double-buffered
-// input gradient, and the parameter copy the compute reads — lives in
-// 2-byte binary16 form, while all arithmetic accumulates in fp32:
+// Operand storage. Loss, Backward, blockForward and blockBackward are
+// written once; the only parameter is how operands are stored, f32 or
+// binary16 — the GPU mixed-precision contract (§3.1 of the ZeRO paper)
+// realized in storage. A storage decides three things:
 //
-//   - Weights: Params stays the fp32 master (the optimizer's domain);
-//     ParamsH is its rounded fp16 image and is what every kernel reads.
-//     RefreshHalfParams re-encodes a range after the master changes.
-//   - Activations: each block's saved-for-backward tensors are HalfBuffers
-//     (blockActsH). Forward computes through one set of fp32 staging
-//     buffers shared by all layers — O(1) in depth, the activation memory
-//     is the 2-byte stores — and every value crossing a kernel boundary is
-//     rounded through binary16 (FromFloatsRound), so the fp32 staging
-//     always holds exactly the values the fp16 stores decode to.
-//   - Matmuls run the fused half-domain kernels (MatMulH/MatMulBTH/
-//     MatMulATH-family): fp16 operands, fp32 accumulation, one rounding at
-//     the store. Elementwise kernels (layernorm, softmax, GELU) and the
-//     per-head attention core run on the rounded fp32 images.
-//   - Gradients: dLogits is scaled by LossScale before the backward sweep
-//     (dynamic loss scaling), weight gradients accumulate in fp32 Grads,
-//     and each overflow detected while encoding an fp16 store raises the
-//     workspace overflow flag that TakeOverflow surfaces to the trainer.
+//   - Where a saved activation lives. f32 keeps each saved tensor in its
+//     own fp32 buffer and the kernels write it directly. fp16 computes it
+//     into one layer's shared fp32 staging buffer and keeps a 2-byte
+//     binary16 store (FromFloatsRound, which rounds the staging in place so
+//     the fp32 image always equals what the store decodes to).
+//   - What a rounding point does: nothing in f32; in fp16, RoundHalfCheck.
+//     Every fp16 store and rounding point feeds the overflow latch that
+//     TakeOverflow surfaces to the trainer for dynamic loss scaling.
+//   - Which matmul and weight view a call uses: MatMul* on Params in f32;
+//     the fused half-domain MatMul*H on ParamsH in fp16 (fp16 operands,
+//     fp32 accumulation). Elementwise kernels (layernorm, softmax, GELU)
+//     and the per-head attention core run on fp32 images in both, with
+//     layernorm gains and biases decoded from ParamsH in fp16.
 //
-// The fp32 path is untouched: fp16 mode dispatches to lossH/backwardH at
-// the top of Loss/Backward and shares only the small per-head scratch.
+// Params stays the fp32 master (the optimizer's domain) and weight
+// gradients accumulate in fp32 Grads under either storage. The retention
+// rule is the same for both: per block, exactly the tensors backward
+// reads; under Checkpoint, only each block's input, with the rest
+// recomputed into one shared set.
 
-// blockActsH is blockActs in 2-byte form: exactly the tensors the backward
-// pass reads, stored as binary16. The inverse standard deviations stay
-// fp32 — they are O(M) and precision-critical.
-type blockActsH struct {
-	xhat1   tensor.HalfBuffer // [M,h]
-	a       tensor.HalfBuffer // [M,h] ln1 output
-	qkv     tensor.HalfBuffer // [M,3h]
-	probs   tensor.HalfBuffer // attention softmax [B*heads, T, T]
-	ctx     tensor.HalfBuffer // [M,h]
-	xhat2   tensor.HalfBuffer // [M,h]
-	mlin    tensor.HalfBuffer // [M,h] ln2 output
-	h1      tensor.HalfBuffer // [M,ffn] MLP pre-GELU
-	g       tensor.HalfBuffer // [M,ffn] GELU output
-	invStd1 []float32
-	invStd2 []float32
+// storage is the operand storage Loss/Backward compute against.
+type storage interface {
+	// out returns the fp32 buffer a kernel writes saved tensor t into (n
+	// elements): t's own buffer, or the shared staging buffer *stage.
+	out(t *operand, stage *[]float32, n int) []float32
+	// keep stores x, just computed into out's buffer, as t[lo:lo+len(x)].
+	keep(t *operand, lo int, x []float32)
+	// load returns saved tensor t's fp32 values: t's own buffer, or its
+	// binary16 store decoded into *stage.
+	load(t operand, stage *[]float32) []float32
+	// round is a rounding point for an fp32 tensor that is not saved.
+	round(x []float32)
+	// stage rounds a d-tensor into a matmul operand. Its binary16 image
+	// is valid until the next stage call.
+	stage(x []float32) operand
+	// vec returns Params[off:off+n] as fp32: a view, or decoded into *buf.
+	vec(buf *[]float32, off, n int) []float32
+	// mm computes c[m×n] = a[m×k] · W[k×n] for the weight at offset w.
+	mm(c []float32, a operand, w, m, k, n int)
+	// mmBT computes c[m×k] = a[m×n] · W[k×n]ᵀ for the weight at offset w.
+	mmBT(c []float32, a operand, w, m, n, k int)
+	// mmATAdd accumulates c[k×n] += a[m×k]ᵀ · b[m×n].
+	mmATAdd(c []float32, a, b operand, m, k, n int)
 }
 
-// growH is grow for fp16 buffers.
-func growH(buf tensor.HalfBuffer, n int) tensor.HalfBuffer {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return tensor.NewHalfBuffer(n)
+// f32Storage keeps every operand in fp32: rounding points are no-ops and
+// every kernel is the plain f32 one.
+type f32Storage struct{ m *Model }
+
+func (f32Storage) out(t *operand, _ *[]float32, n int) []float32 {
+	t.f = grow(t.f, n)
+	return t.f
+}
+func (f32Storage) keep(*operand, int, []float32)          {}
+func (f32Storage) load(t operand, _ *[]float32) []float32 { return t.f }
+func (f32Storage) round([]float32)                        {}
+func (f32Storage) stage(x []float32) operand              { return operand{f: x} }
+func (s f32Storage) vec(_ *[]float32, off, n int) []float32 {
+	return s.m.Params[off : off+n]
+}
+func (s f32Storage) mm(c []float32, a operand, w, m, k, n int) {
+	tensor.MatMul(c, a.f, s.m.Params[w:w+k*n], m, k, n)
+}
+func (s f32Storage) mmBT(c []float32, a operand, w, m, n, k int) {
+	tensor.MatMulBT(c, a.f, s.m.Params[w:w+k*n], m, n, k)
+}
+func (f32Storage) mmATAdd(c []float32, a, b operand, m, k, n int) {
+	tensor.MatMulATAdd(c, a.f, b.f, m, k, n)
 }
 
-// SetFP16Compute switches the model onto the fp16 storage path (and back).
-// Enabling allocates the ParamsH compute copy and encodes the current
-// master into it; callers that mutate Params afterwards must
+// halfStorage keeps saved tensors, d-tensor matmul operands and the weights
+// the kernels read in binary16.
+type halfStorage struct{ m *Model }
+
+func (s halfStorage) latch(overflow bool) {
+	s.m.ws.overflow = overflow || s.m.ws.overflow
+}
+func (halfStorage) out(t *operand, stage *[]float32, n int) []float32 {
+	t.h = growH(t.h, n)
+	*stage = grow(*stage, n)
+	return *stage
+}
+func (s halfStorage) keep(t *operand, lo int, x []float32) {
+	s.latch(t.h[lo : lo+len(x)].FromFloatsRound(x))
+}
+func (halfStorage) load(t operand, stage *[]float32) []float32 {
+	*stage = grow(*stage, len(t.h))
+	t.h.ToFloats(*stage)
+	return *stage
+}
+func (s halfStorage) round(x []float32) { s.latch(tensor.RoundHalfCheck(x)) }
+func (s halfStorage) stage(x []float32) operand {
+	ws := &s.m.ws
+	ws.hStage = growH(ws.hStage, len(x))
+	s.latch(ws.hStage.FromFloatsRound(x))
+	return operand{f: x, h: ws.hStage}
+}
+func (s halfStorage) vec(buf *[]float32, off, n int) []float32 {
+	*buf = grow(*buf, n)
+	s.m.ParamsH[off : off+n].ToFloats(*buf)
+	return *buf
+}
+func (s halfStorage) mm(c []float32, a operand, w, m, k, n int) {
+	tensor.MatMulH(c, a.h, s.m.ParamsH[w:w+k*n], m, k, n)
+}
+func (s halfStorage) mmBT(c []float32, a operand, w, m, n, k int) {
+	tensor.MatMulBTH(c, a.h, s.m.ParamsH[w:w+k*n], m, n, k)
+}
+func (halfStorage) mmATAdd(c []float32, a, b operand, m, k, n int) {
+	tensor.MatMulATAddH(c, a.h, b.h, m, k, n)
+}
+
+// SetFP16Compute switches the model onto binary16 operand storage (and
+// back). Enabling allocates the ParamsH compute copy and encodes the
+// current master into it; callers that mutate Params afterwards must
 // RefreshHalfParams the touched range.
 func (m *Model) SetFP16Compute(on bool) {
-	m.fp16 = on
-	if on {
-		if cap(m.ParamsH) < len(m.Params) {
-			m.ParamsH = tensor.NewHalfBuffer(len(m.Params))
-		}
-		m.ParamsH = m.ParamsH[:len(m.Params)]
-		m.RefreshHalfParams(0, len(m.Params))
-		if m.LossScale == 0 {
-			m.LossScale = 1
-		}
+	if !on {
+		m.st = f32Storage{m}
+		return
+	}
+	m.st = halfStorage{m}
+	if cap(m.ParamsH) < len(m.Params) {
+		m.ParamsH = tensor.NewHalfBuffer(len(m.Params))
+	}
+	m.ParamsH = m.ParamsH[:len(m.Params)]
+	m.RefreshHalfParams(0, len(m.Params))
+	if m.LossScale == 0 {
+		m.LossScale = 1
 	}
 }
 
-// FP16Compute reports whether the fp16 storage path is active.
-func (m *Model) FP16Compute() bool { return m.fp16 }
+// FP16Compute reports whether binary16 operand storage is active.
+func (m *Model) FP16Compute() bool {
+	_, half := m.st.(halfStorage)
+	return half
+}
 
 // RefreshHalfParams re-encodes Params[lo:hi] into the fp16 compute copy —
 // the writeback point after the optimizer (or a parameter all-gather)
@@ -93,407 +159,4 @@ func (m *Model) TakeOverflow() bool {
 	o := m.ws.overflow
 	m.ws.overflow = false
 	return o
-}
-
-// gammaH decodes an h-length layernorm gain from the fp16 compute copy
-// into shared scratch.
-func (m *Model) gammaH(off, h int) []float32 {
-	ws := &m.ws
-	ws.pGamma = grow(ws.pGamma, h)
-	m.ParamsH[off : off+h].ToFloats(ws.pGamma)
-	return ws.pGamma
-}
-
-// lnParamsH decodes a layernorm gain/shift pair from the fp16 compute copy.
-func (m *Model) lnParamsH(gOff, bOff, h int) (gamma, beta []float32) {
-	ws := &m.ws
-	ws.pBeta = grow(ws.pBeta, h)
-	m.ParamsH[bOff : bOff+h].ToFloats(ws.pBeta)
-	return m.gammaH(gOff, h), ws.pBeta
-}
-
-// biasH decodes an n-length bias from the fp16 compute copy into shared
-// scratch (grown to the ffn high-water mark).
-func (m *Model) biasH(off, n int) []float32 {
-	ws := &m.ws
-	ws.pBias = grow(ws.pBias, n)
-	m.ParamsH[off : off+n].ToFloats(ws.pBias[:n])
-	return ws.pBias[:n]
-}
-
-// lossH is Loss on the fp16 path: same hook schedule, same math, with
-// activations flowing through binary16 at every kernel boundary.
-func (m *Model) lossH(ids, targets []int, batch int) float64 {
-	seqLen := len(ids) / batch
-	h := m.Cfg.Hidden
-	v := m.Cfg.Vocab
-	mRows := batch * seqLen
-	fs := &m.ws
-	fs.batch, fs.seqLen = batch, seqLen
-	fs.ids = append(fs.ids[:0], ids...)
-	fs.targets = append(fs.targets[:0], targets...)
-
-	// Embedding: token + position rows decode straight from the fp16
-	// parameter copy; the sum re-rounds through binary16 so block 0 sees an
-	// fp16-valued input.
-	if m.ForwardHook != nil {
-		m.ForwardHook(-1)
-	}
-	tokH := m.ParamsH[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	posH := m.ParamsH[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
-	fs.sX = grow(fs.sX, mRows*h)
-	fs.pBias = grow(fs.pBias, h)
-	posRow := fs.pBias[:h]
-	for b := 0; b < batch; b++ {
-		for t := 0; t < seqLen; t++ {
-			id := ids[b*seqLen+t]
-			if id < 0 || id >= v {
-				panic("model: token id out of range")
-			}
-			row := fs.sX[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
-			tokH[id*h : (id+1)*h].ToFloats(row)
-			posH[t*h : (t+1)*h].ToFloats(posRow)
-			tensor.Add(row, posRow)
-		}
-	}
-	fs.overflow = tensor.RoundHalfCheck(fs.sX) || fs.overflow
-
-	// Blocks: input and output ride the shared sX staging buffer.
-	if len(fs.hblocks) != m.Cfg.Layers {
-		fs.hblocks = make([]blockActsH, m.Cfg.Layers)
-	}
-	for i := 0; i < m.Cfg.Layers; i++ {
-		if m.ForwardHook != nil {
-			m.ForwardHook(i)
-		}
-		m.blockForwardH(i, &fs.hblocks[i], batch, seqLen)
-	}
-
-	// Final layernorm + tied-embedding head.
-	if m.ForwardHook != nil {
-		m.ForwardHook(m.Cfg.Layers)
-	}
-	fs.sA = grow(fs.sA, mRows*h)
-	fs.sXhat = grow(fs.sXhat, mRows*h)
-	fs.invStdF = grow(fs.invStdF, mRows)
-	gammaF, betaF := m.lnParamsH(m.Layout.lnF, m.Layout.lnF+h, h)
-	tensor.LayerNorm(fs.sA, fs.sXhat, fs.invStdF, fs.sX, gammaF, betaF, mRows, h, lnEps)
-	fs.hxf = growH(fs.hxf, mRows*h)
-	fs.overflow = fs.hxf.FromFloatsRound(fs.sA) || fs.overflow
-	fs.hxhatF = growH(fs.hxhatF, mRows*h)
-	fs.overflow = fs.hxhatF.FromFloatsRound(fs.sXhat) || fs.overflow
-
-	// Logits from fp16 xf against the fp16 tied embedding; the softmax
-	// writes probs over the logits in place (SoftmaxRows allows aliasing),
-	// so one fp32 [M,v] buffer carries the head state into backward.
-	fs.sLogits = grow(fs.sLogits, mRows*v)
-	tensor.MatMulBTH(fs.sLogits, fs.hxf, tokH, mRows, h, v)
-	loss := tensor.CrossEntropy(fs.sLogits, fs.sLogits, fs.targets, mRows, v)
-
-	m.fwd = fs
-	return loss
-}
-
-// blockForwardH runs one transformer block on the fp16 path: fp32 staging
-// in, fp16 stores out, half-domain matmuls against the fp16 weight views.
-// The block input arrives in ws.sX and the output replaces it.
-func (m *Model) blockForwardH(i int, acts *blockActsH, batch, seqLen int) {
-	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
-	mRows := batch * seqLen
-	off := m.Layout.blocks[i]
-	ws := &m.ws
-	x := ws.sX
-
-	// LN1.
-	ws.sA = grow(ws.sA, mRows*h)
-	ws.sXhat = grow(ws.sXhat, mRows*h)
-	acts.invStd1 = grow(acts.invStd1, mRows)
-	gamma, beta := m.lnParamsH(off.ln1Gamma, off.ln1Beta, h)
-	tensor.LayerNorm(ws.sA, ws.sXhat, acts.invStd1, x, gamma, beta, mRows, h, lnEps)
-	acts.xhat1 = growH(acts.xhat1, mRows*h)
-	ws.overflow = acts.xhat1.FromFloatsRound(ws.sXhat) || ws.overflow
-	acts.a = growH(acts.a, mRows*h)
-	ws.overflow = acts.a.FromFloatsRound(ws.sA) || ws.overflow
-
-	// QKV projection: fp16 activations × fp16 weights, fp32 accumulation.
-	ws.sQKV = grow(ws.sQKV, mRows*3*h)
-	tensor.MatMulH(ws.sQKV, acts.a, m.ParamsH[off.wQKV:off.wQKV+h*3*h], mRows, h, 3*h)
-	tensor.AddBiasRows(ws.sQKV, m.biasH(off.bQKV, 3*h), mRows, 3*h)
-	acts.qkv = growH(acts.qkv, mRows*3*h)
-	ws.overflow = acts.qkv.FromFloatsRound(ws.sQKV) || ws.overflow
-
-	// Multi-head causal self-attention on the rounded fp32 images; each
-	// head's softmax rounds through its fp16 store before the context
-	// matmul so backward replays the same probabilities.
-	ws.sProbs = grow(ws.sProbs, batch*heads*seqLen*seqLen)
-	ws.sCtx = grow(ws.sCtx, mRows*h)
-	acts.probs = growH(acts.probs, batch*heads*seqLen*seqLen)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ws.qh = grow(ws.qh, seqLen*dh)
-	ws.kh = grow(ws.kh, seqLen*dh)
-	ws.vh = grow(ws.vh, seqLen*dh)
-	ws.ctxh = grow(ws.ctxh, seqLen*dh)
-	qh, kh, vh, ctxh := ws.qh, ws.kh, ws.vh, ws.ctxh
-	for b := 0; b < batch; b++ {
-		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(ws.sQKV, qh, kh, vh, b, hd, batch, seqLen)
-			probs := ws.sProbs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			tensor.MatMulBT(probs, qh, kh, seqLen, dh, seqLen)
-			for t := 0; t < seqLen; t++ {
-				row := probs[t*seqLen : (t+1)*seqLen]
-				for u := range row {
-					if u > t {
-						row[u] = causalMask
-					} else {
-						row[u] *= scale
-					}
-				}
-			}
-			tensor.SoftmaxRows(probs, probs, seqLen, seqLen)
-			hp := acts.probs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			ws.overflow = hp.FromFloatsRound(probs) || ws.overflow
-			tensor.MatMul(ctxh, probs, vh, seqLen, seqLen, dh)
-			for t := 0; t < seqLen; t++ {
-				copy(ws.sCtx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh], ctxh[t*dh:(t+1)*dh])
-			}
-		}
-	}
-	acts.ctx = growH(acts.ctx, mRows*h)
-	ws.overflow = acts.ctx.FromFloatsRound(ws.sCtx) || ws.overflow
-
-	// Output projection + residual.
-	ws.sAttn = grow(ws.sAttn, mRows*h)
-	tensor.MatMulH(ws.sAttn, acts.ctx, m.ParamsH[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.AddBiasRows(ws.sAttn, m.biasH(off.bProj, h), mRows, h)
-	ws.sX2 = grow(ws.sX2, mRows*h)
-	copy(ws.sX2, x)
-	tensor.Add(ws.sX2, ws.sAttn)
-	ws.overflow = tensor.RoundHalfCheck(ws.sX2) || ws.overflow
-
-	// LN2 + MLP + residual.
-	ws.sMlin = grow(ws.sMlin, mRows*h)
-	acts.invStd2 = grow(acts.invStd2, mRows)
-	gamma, beta = m.lnParamsH(off.ln2Gamma, off.ln2Beta, h)
-	tensor.LayerNorm(ws.sMlin, ws.sXhat, acts.invStd2, ws.sX2, gamma, beta, mRows, h, lnEps)
-	acts.xhat2 = growH(acts.xhat2, mRows*h)
-	ws.overflow = acts.xhat2.FromFloatsRound(ws.sXhat) || ws.overflow
-	acts.mlin = growH(acts.mlin, mRows*h)
-	ws.overflow = acts.mlin.FromFloatsRound(ws.sMlin) || ws.overflow
-
-	ws.sH1 = grow(ws.sH1, mRows*ffn)
-	tensor.MatMulH(ws.sH1, acts.mlin, m.ParamsH[off.wFC1:off.wFC1+h*ffn], mRows, h, ffn)
-	tensor.AddBiasRows(ws.sH1, m.biasH(off.bFC1, ffn), mRows, ffn)
-	acts.h1 = growH(acts.h1, mRows*ffn)
-	ws.overflow = acts.h1.FromFloatsRound(ws.sH1) || ws.overflow
-	ws.sG = grow(ws.sG, mRows*ffn)
-	tensor.GELU(ws.sG, ws.sH1)
-	acts.g = growH(acts.g, mRows*ffn)
-	ws.overflow = acts.g.FromFloatsRound(ws.sG) || ws.overflow
-
-	tensor.MatMulH(ws.sX, acts.g, m.ParamsH[off.wFC2:off.wFC2+ffn*h], mRows, ffn, h)
-	tensor.AddBiasRows(ws.sX, m.biasH(off.bFC2, h), mRows, h)
-	tensor.Add(ws.sX, ws.sX2)
-	ws.overflow = tensor.RoundHalfCheck(ws.sX) || ws.overflow
-}
-
-// backwardH is Backward on the fp16 path. The gradient stream mirrors the
-// fp32 sequence exactly; input gradients double-buffer through the 2-byte
-// hdXa/hdXb pair, and each d-tensor that feeds a matmul is rounded into an
-// fp16 staging buffer first so both matmul operands are half-domain.
-func (m *Model) backwardH() {
-	fs := m.fwd
-	if fs == nil {
-		panic("model: Backward without a preceding Loss")
-	}
-	m.fwd = nil
-	h := m.Cfg.Hidden
-	mRows := fs.batch * fs.seqLen
-	v := m.Cfg.Vocab
-
-	if m.BackwardPreHook != nil {
-		m.BackwardPreHook(m.Cfg.Layers)
-	}
-	tokH := m.ParamsH[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	dTok := m.Grads[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
-	dPos := m.Grads[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
-
-	// Head: dLogits (loss-scaled), then through the tied embedding with
-	// both operands fp16. dLogits overwrites the probs buffer in place —
-	// CrossEntropyBackward is element-wise in probs, and backward has no
-	// further use for the probabilities.
-	dLogits := fs.sLogits
-	tensor.CrossEntropyBackward(dLogits, fs.sLogits, fs.targets, mRows, v)
-	if m.LossScale != 1 {
-		tensor.Scale(dLogits, m.LossScale)
-	}
-	fs.hdLogits = growH(fs.hdLogits, mRows*v)
-	fs.overflow = fs.hdLogits.FromFloatsRound(dLogits) || fs.overflow
-	fs.sA = grow(fs.sA, mRows*h)
-	dXf := fs.sA
-	tensor.MatMulH(dXf, fs.hdLogits, tokH, mRows, v, h)
-	tensor.MatMulATAddH(dTok, fs.hdLogits, fs.hxf, mRows, v, h)
-
-	// Final layernorm backward into the shared dst staging buffer.
-	fs.sAttn = grow(fs.sAttn, mRows*h)
-	dst := fs.sAttn
-	tensor.Zero(dst)
-	fs.sXhat = grow(fs.sXhat, mRows*h)
-	fs.hxhatF.ToFloats(fs.sXhat)
-	gammaF := m.gammaH(m.Layout.lnF, h)
-	dGammaF := m.Grads[m.Layout.lnF : m.Layout.lnF+h]
-	dBetaF := m.Grads[m.Layout.lnF+h : m.Layout.lnF+2*h]
-	tensor.LayerNormBackward(dst, dGammaF, dBetaF, dXf, fs.sXhat, fs.invStdF, gammaF, mRows, h)
-
-	// Blocks in reverse, double-buffering the input gradient in 2-byte
-	// form: each block decodes hdX, writes its input gradient to the fp32
-	// dst staging, and re-encodes into the other half buffer.
-	fs.hdXa = growH(fs.hdXa, mRows*h)
-	fs.overflow = fs.hdXa.FromFloatsRound(dst) || fs.overflow
-	fs.hdXb = growH(fs.hdXb, mRows*h)
-	hdX, hdNext := fs.hdXa, fs.hdXb
-	for i := m.Cfg.Layers - 1; i >= 0; i-- {
-		if m.BackwardPreHook != nil {
-			m.BackwardPreHook(i)
-		}
-		m.blockBackwardH(i, &fs.hblocks[i], hdX, hdNext, fs.batch, fs.seqLen)
-		hdX, hdNext = hdNext, hdX
-		if m.BackwardHook != nil {
-			m.BackwardHook(i)
-		}
-	}
-
-	// Embedding gradients: blockBackwardH left block 0's input gradient
-	// (the rounded image of hdX) in the dst staging buffer.
-	dX := fs.sAttn
-	for b := 0; b < fs.batch; b++ {
-		for t := 0; t < fs.seqLen; t++ {
-			id := fs.ids[b*fs.seqLen+t]
-			row := dX[(b*fs.seqLen+t)*h : (b*fs.seqLen+t+1)*h]
-			tensor.Add(dTok[id*h:(id+1)*h], row)
-			tensor.Add(dPos[t*h:(t+1)*h], row)
-		}
-	}
-}
-
-// blockBackwardH is blockBackward on the fp16 path: saved activations
-// decode from their 2-byte stores on use, matmuls whose operands exist in
-// fp16 run the fused half kernels, and the block's input gradient is
-// re-encoded into hdst (its fp32 image stays in ws.sAttn for the caller).
-func (m *Model) blockBackwardH(i int, acts *blockActsH, hdOut, hdst tensor.HalfBuffer, batch, seqLen int) {
-	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
-	mRows := batch * seqLen
-	off := m.Layout.blocks[i]
-	g := m.Grads
-	ws := &m.ws
-
-	// Residual: dx2 starts as dOut (decoded once; the fp16 copy feeds the
-	// fused matmuls directly).
-	ws.sX = grow(ws.sX, mRows*h)
-	dOut := ws.sX
-	hdOut.ToFloats(dOut)
-	ws.sX2 = grow(ws.sX2, mRows*h)
-	dX2 := ws.sX2
-	copy(dX2, dOut)
-
-	// MLP backward.
-	ws.sG = grow(ws.sG, mRows*ffn)
-	dG := ws.sG
-	tensor.MatMulBTH(dG, hdOut, m.ParamsH[off.wFC2:off.wFC2+ffn*h], mRows, h, ffn)
-	tensor.MatMulATAddH(g[off.wFC2:off.wFC2+ffn*h], acts.g, hdOut, mRows, ffn, h)
-	tensor.BiasGradRows(g[off.bFC2:off.bFC2+h], dOut, mRows, h)
-	ws.sH1 = grow(ws.sH1, mRows*ffn)
-	acts.h1.ToFloats(ws.sH1)
-	ws.sDH1 = grow(ws.sDH1, mRows*ffn)
-	dH1 := ws.sDH1
-	tensor.Zero(dH1) // GELUBackward accumulates
-	tensor.GELUBackward(dH1, dG, ws.sH1)
-	ws.hdStage = growH(ws.hdStage, mRows*ffn)
-	hdH1 := ws.hdStage[:mRows*ffn]
-	ws.overflow = hdH1.FromFloatsRound(dH1) || ws.overflow
-	ws.sMlin = grow(ws.sMlin, mRows*h)
-	dMlin := ws.sMlin
-	tensor.MatMulBTH(dMlin, hdH1, m.ParamsH[off.wFC1:off.wFC1+h*ffn], mRows, ffn, h)
-	tensor.MatMulATAddH(g[off.wFC1:off.wFC1+h*ffn], acts.mlin, hdH1, mRows, h, ffn)
-	tensor.BiasGradRows(g[off.bFC1:off.bFC1+ffn], dH1, mRows, ffn)
-	ws.sXhat = grow(ws.sXhat, mRows*h)
-	acts.xhat2.ToFloats(ws.sXhat)
-	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
-		dMlin, ws.sXhat, acts.invStd2, m.gammaH(off.ln2Gamma, h), mRows, h)
-
-	// Attention output projection backward (dAttnOut == dX2), fp16 dX2
-	// against the fp16 projection weights and context.
-	hdX2 := ws.hdStage[:mRows*h]
-	ws.overflow = hdX2.FromFloatsRound(dX2) || ws.overflow
-	ws.sCtx = grow(ws.sCtx, mRows*h)
-	dCtx := ws.sCtx
-	tensor.MatMulBTH(dCtx, hdX2, m.ParamsH[off.wProj:off.wProj+h*h], mRows, h, h)
-	tensor.MatMulATAddH(g[off.wProj:off.wProj+h*h], acts.ctx, hdX2, mRows, h, h)
-	tensor.BiasGradRows(g[off.bProj:off.bProj+h], dX2, mRows, h)
-
-	// Attention core backward on decoded fp32 images, per (sample, head).
-	ws.sQKV = grow(ws.sQKV, mRows*3*h)
-	acts.qkv.ToFloats(ws.sQKV)
-	ws.sProbs = grow(ws.sProbs, batch*heads*seqLen*seqLen)
-	acts.probs.ToFloats(ws.sProbs)
-	ws.sDQKV = grow(ws.sDQKV, mRows*3*h)
-	dQKV := ws.sDQKV
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	ws.qh = grow(ws.qh, seqLen*dh)
-	ws.kh = grow(ws.kh, seqLen*dh)
-	ws.vh = grow(ws.vh, seqLen*dh)
-	ws.dctxh = grow(ws.dctxh, seqLen*dh)
-	ws.dP = grow(ws.dP, seqLen*seqLen)
-	ws.dS = grow(ws.dS, seqLen*seqLen)
-	ws.dqh = grow(ws.dqh, seqLen*dh)
-	ws.dkh = grow(ws.dkh, seqLen*dh)
-	ws.dvh = grow(ws.dvh, seqLen*dh)
-	qh, kh, vh := ws.qh, ws.kh, ws.vh
-	dctxh, dP, dS := ws.dctxh, ws.dP, ws.dS
-	dqh, dkh, dvh := ws.dqh, ws.dkh, ws.dvh
-	for b := 0; b < batch; b++ {
-		for hd := 0; hd < heads; hd++ {
-			m.gatherHead(ws.sQKV, qh, kh, vh, b, hd, batch, seqLen)
-			probs := ws.sProbs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
-			for t := 0; t < seqLen; t++ {
-				copy(dctxh[t*dh:(t+1)*dh], dCtx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh])
-			}
-			tensor.MatMulBT(dP, dctxh, vh, seqLen, dh, seqLen)
-			tensor.MatMulAT(dvh, probs, dctxh, seqLen, seqLen, dh)
-			tensor.Zero(dS)
-			tensor.SoftmaxRowsBackward(dS, dP, probs, seqLen, seqLen)
-			tensor.Scale(dS, scale)
-			tensor.MatMul(dqh, dS, kh, seqLen, seqLen, dh)
-			tensor.MatMulAT(dkh, dS, qh, seqLen, seqLen, dh)
-			for t := 0; t < seqLen; t++ {
-				base := (b*seqLen + t) * 3 * h
-				copy(dQKV[base+hd*dh:base+(hd+1)*dh], dqh[t*dh:(t+1)*dh])
-				copy(dQKV[base+h+hd*dh:base+h+(hd+1)*dh], dkh[t*dh:(t+1)*dh])
-				copy(dQKV[base+2*h+hd*dh:base+2*h+(hd+1)*dh], dvh[t*dh:(t+1)*dh])
-			}
-		}
-	}
-
-	// QKV projection backward.
-	hdQKV := ws.hdStage[:mRows*3*h]
-	ws.overflow = hdQKV.FromFloatsRound(dQKV) || ws.overflow
-	ws.sA = grow(ws.sA, mRows*h)
-	dA := ws.sA
-	tensor.MatMulBTH(dA, hdQKV, m.ParamsH[off.wQKV:off.wQKV+h*3*h], mRows, 3*h, h)
-	tensor.MatMulATAddH(g[off.wQKV:off.wQKV+h*3*h], acts.a, hdQKV, mRows, h, 3*h)
-	tensor.BiasGradRows(g[off.bQKV:off.bQKV+3*h], dQKV, mRows, 3*h)
-
-	// LN1 + residual: dx = dx2 + LN1-backward(dA), re-encoded 2-byte.
-	ws.sAttn = grow(ws.sAttn, mRows*h)
-	dst := ws.sAttn
-	copy(dst, dX2)
-	acts.xhat1.ToFloats(ws.sXhat)
-	tensor.LayerNormBackward(dst, g[off.ln1Gamma:off.ln1Gamma+h], g[off.ln1Beta:off.ln1Beta+h],
-		dA, ws.sXhat, acts.invStd1, m.gammaH(off.ln1Gamma, h), mRows, h)
-	ws.overflow = hdst.FromFloatsRound(dst) || ws.overflow
 }

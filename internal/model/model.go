@@ -71,40 +71,20 @@ type Model struct {
 	// FP16Compute is on, refreshed via RefreshHalfParams (see fp16.go).
 	ParamsH tensor.HalfBuffer
 
-	// LossScale multiplies dLogits on the fp16 path (dynamic loss scaling;
-	// the trainer folds the inverse into its gradient averaging). Zero
-	// means 1. Ignored on the fp32 path.
+	// LossScale multiplies dLogits before the backward sweep (dynamic loss
+	// scaling; the trainer folds the inverse into its gradient averaging).
+	// Zero means 1.
 	LossScale float32
 
-	// fp16 routes Loss/Backward through the half-precision storage path.
-	fp16 bool
+	// st is the operand storage, f32 or binary16 (fp16.go); Loss and
+	// Backward are written once against it.
+	st storage
 
 	// ws is the persistent step workspace (activations, gradients,
 	// attention scratch), reused across steps; fwd points at it between a
 	// Loss and its Backward. See workspace.go for the ownership rules.
 	ws  workspace
 	fwd *workspace
-}
-
-// blockActs holds one block's intermediate activations, drawn from the
-// model workspace and reused across steps. x (the block input / activation
-// checkpoint) aliases the previous block's output; under a checkpoint
-// Store it is nil between the forward Put and the backward Get.
-type blockActs struct {
-	x       []float32 // block input [M,h] — the activation checkpoint
-	xhat1   []float32
-	invStd1 []float32
-	a       []float32 // ln1 output
-	qkv     []float32 // [M,3h]
-	probs   []float32 // attention softmax [B*heads, T, T]
-	ctx     []float32 // attention context before proj [M,h]
-	attnOut []float32 // attention projection output [M,h]
-	x2      []float32 // x + attnOut
-	xhat2   []float32
-	invStd2 []float32
-	mlin    []float32 // ln2 output
-	h1      []float32 // MLP pre-GELU [M,ffn]
-	g       []float32 // GELU output [M,ffn]
 }
 
 // New creates a model with Gaussian-initialized weights (std 0.02, GPT-2
@@ -117,6 +97,7 @@ func New(cfg Config, seed int64) *Model {
 		Params: make([]float32, layout.Total),
 		Grads:  make([]float32, layout.Total),
 	}
+	m.st = f32Storage{m}
 	r := rand.New(rand.NewSource(seed))
 	const std = 0.02
 	residStd := std / float32(math.Sqrt(2*float64(cfg.Layers)))
@@ -160,90 +141,91 @@ func (m *Model) Loss(ids, targets []int, batch int) float64 {
 	if seqLen > m.Cfg.Seq {
 		panic("model: sequence longer than configured maximum")
 	}
-	if m.fp16 {
-		return m.lossH(ids, targets, batch)
-	}
+	st := m.st
 	h := m.Cfg.Hidden
+	v := m.Cfg.Vocab
 	mRows := batch * seqLen
-	fs := &m.ws
-	fs.batch, fs.seqLen = batch, seqLen
-	fs.ids = append(fs.ids[:0], ids...)
-	fs.targets = append(fs.targets[:0], targets...)
-	fs.x0 = grow(fs.x0, mRows*h)
+	ws := &m.ws
+	ws.batch, ws.seqLen = batch, seqLen
+	ws.ids = append(ws.ids[:0], ids...)
+	ws.targets = append(ws.targets[:0], targets...)
 
-	// Embedding: token + position.
+	// Embedding: token + position, into the residual stream.
 	if m.ForwardHook != nil {
 		m.ForwardHook(-1)
 	}
-	tok := m.Params[m.Layout.tokEmb : m.Layout.tokEmb+m.Cfg.Vocab*h]
-	pos := m.Params[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
+	ws.x = grow(ws.x, mRows*h)
+	x := ws.x
 	for b := 0; b < batch; b++ {
 		for t := 0; t < seqLen; t++ {
 			id := ids[b*seqLen+t]
-			if id < 0 || id >= m.Cfg.Vocab {
+			if id < 0 || id >= v {
 				panic("model: token id out of range")
 			}
-			row := fs.x0[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
-			copy(row, tok[id*h:(id+1)*h])
-			tensor.Add(row, pos[t*h:(t+1)*h])
+			row := x[(b*seqLen+t)*h : (b*seqLen+t+1)*h]
+			copy(row, st.vec(&ws.pGamma, m.Layout.tokEmb+id*h, h))
+			tensor.Add(row, st.vec(&ws.pBeta, m.Layout.posEmb+t*h, h))
 		}
 	}
+	st.round(x)
 
-	// Blocks.
-	if len(fs.blocks) != m.Cfg.Layers {
-		fs.blocks = make([]blockActs, m.Cfg.Layers)
-		fs.outs = make([][]float32, m.Cfg.Layers)
+	// Blocks, updating the residual stream in place. Under checkpointing
+	// each block's input is kept (by the Store, or as a saved tensor of
+	// its own) and its internals go to the one shared set.
+	if m.Checkpoint && m.Store == nil && len(ws.inputs) != m.Cfg.Layers {
+		ws.inputs = make([]operand, m.Cfg.Layers)
 	}
-	x := fs.x0
 	for i := 0; i < m.Cfg.Layers; i++ {
 		if m.ForwardHook != nil {
 			m.ForwardHook(i)
 		}
-		acts := &fs.blocks[i]
-		acts.x = x
-		fs.outs[i] = grow(fs.outs[i], mRows*h)
-		x = m.blockForward(i, acts, fs.outs[i], batch, seqLen)
-		if m.Checkpoint && m.Store != nil {
-			m.Store.Put(i, acts.x)
-			acts.x = nil
+		if m.Checkpoint {
+			if m.Store != nil {
+				m.Store.Put(i, x)
+			} else {
+				// Under fp16 the staging buffer is x itself, so the copy
+				// is a no-op and keep encodes x in place.
+				in := &ws.inputs[i]
+				copy(st.out(in, &ws.x, mRows*h), x)
+				st.keep(in, 0, x)
+			}
 		}
+		m.blockForward(i, ws.acts(i, m.Checkpoint, m.Cfg.Layers), x, batch, seqLen)
 	}
-	fs.xL = x
 
-	// Final layernorm + tied-embedding head.
+	// Final layernorm + tied-embedding head. The softmax writes probs over
+	// the logits in place, so one [M,v] buffer carries the head into
+	// backward.
 	if m.ForwardHook != nil {
 		m.ForwardHook(m.Cfg.Layers)
 	}
-	fs.xhatF = grow(fs.xhatF, mRows*h)
-	fs.invStdF = grow(fs.invStdF, mRows)
-	fs.xf = grow(fs.xf, mRows*h)
-	gammaF := m.Params[m.Layout.lnF : m.Layout.lnF+h]
-	betaF := m.Params[m.Layout.lnF+h : m.Layout.lnF+2*h]
-	tensor.LayerNorm(fs.xf, fs.xhatF, fs.invStdF, x, gammaF, betaF, mRows, h, lnEps)
+	xf := st.out(&ws.xf, &ws.a, mRows*h)
+	xhatF := st.out(&ws.xhatF, &ws.mlin, mRows*h)
+	ws.invStdF = grow(ws.invStdF, mRows)
+	tensor.LayerNorm(xf, xhatF, ws.invStdF, x,
+		st.vec(&ws.pGamma, m.Layout.lnF, h), st.vec(&ws.pBeta, m.Layout.lnF+h, h), mRows, h, lnEps)
+	st.keep(&ws.xf, 0, xf)
+	st.keep(&ws.xhatF, 0, xhatF)
 
-	fs.logits = grow(fs.logits, mRows*m.Cfg.Vocab)
-	tensor.MatMulBT(fs.logits, fs.xf, tok, mRows, h, m.Cfg.Vocab)
-	fs.probs = grow(fs.probs, mRows*m.Cfg.Vocab)
-	loss := tensor.CrossEntropy(fs.probs, fs.logits, fs.targets, mRows, m.Cfg.Vocab)
+	ws.probs = grow(ws.probs, mRows*v)
+	st.mmBT(ws.probs, ws.xf, m.Layout.tokEmb, mRows, h, v)
+	loss := tensor.CrossEntropy(ws.probs, ws.probs, ws.targets, mRows, v)
 
-	m.fwd = fs
+	m.fwd = ws
 	return loss
 }
 
 // Backward accumulates gradients of the last Loss call into Grads. Call
 // after Loss; panics otherwise.
 func (m *Model) Backward() {
-	if m.fp16 {
-		m.backwardH()
-		return
-	}
-	fs := m.fwd
-	if fs == nil {
+	ws := m.fwd
+	if ws == nil {
 		panic("model: Backward without a preceding Loss")
 	}
 	m.fwd = nil
+	st := m.st
 	h := m.Cfg.Hidden
-	mRows := fs.batch * fs.seqLen
+	mRows := ws.batch * ws.seqLen
 	v := m.Cfg.Vocab
 
 	// The head reads the tied token embedding and the final layernorm's
@@ -251,58 +233,69 @@ func (m *Model) Backward() {
 	if m.BackwardPreHook != nil {
 		m.BackwardPreHook(m.Cfg.Layers)
 	}
-	tok := m.Params[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
 	dTok := m.Grads[m.Layout.tokEmb : m.Layout.tokEmb+v*h]
 	dPos := m.Grads[m.Layout.posEmb : m.Layout.posEmb+m.Cfg.Seq*h]
 
-	// Head: dLogits, then through the tied embedding.
-	fs.dLogits = grow(fs.dLogits, mRows*v)
-	dLogits := fs.dLogits
-	tensor.CrossEntropyBackward(dLogits, fs.probs, fs.targets, mRows, v)
-	fs.dXf = grow(fs.dXf, mRows*h)
-	dXf := fs.dXf
-	tensor.MatMul(dXf, dLogits, tok, mRows, v, h)
-	tensor.MatMulATAdd(dTok, dLogits, fs.xf, mRows, v, h)
+	// Head: dLogits (loss-scaled) overwrites the probs in place —
+	// CrossEntropyBackward is element-wise — then flows through the tied
+	// embedding.
+	dLogits := ws.probs
+	tensor.CrossEntropyBackward(dLogits, ws.probs, ws.targets, mRows, v)
+	if m.LossScale != 0 && m.LossScale != 1 {
+		tensor.Scale(dLogits, m.LossScale)
+	}
+	dl := st.stage(dLogits)
+	ws.a = grow(ws.a, mRows*h)
+	dXf := ws.a
+	st.mm(dXf, dl, m.Layout.tokEmb, mRows, v, h)
+	st.mmATAdd(dTok, dl, ws.xf, mRows, v, h)
 
 	// Final layernorm. LayerNormBackward accumulates into dX, so the reused
-	// buffer is zeroed first (fresh allocations used to guarantee this).
-	fs.dXa = grow(fs.dXa, mRows*h)
-	fs.dXb = grow(fs.dXb, mRows*h)
-	dX := fs.dXa
+	// buffer is zeroed first.
+	ws.dXa = grow(ws.dXa, mRows*h)
+	ws.dXb = grow(ws.dXb, mRows*h)
+	dX := ws.dXa
 	tensor.Zero(dX)
-	gammaF := m.Params[m.Layout.lnF : m.Layout.lnF+h]
 	dGammaF := m.Grads[m.Layout.lnF : m.Layout.lnF+h]
 	dBetaF := m.Grads[m.Layout.lnF+h : m.Layout.lnF+2*h]
-	tensor.LayerNormBackward(dX, dGammaF, dBetaF, dXf, fs.xhatF, fs.invStdF, gammaF, mRows, h)
+	tensor.LayerNormBackward(dX, dGammaF, dBetaF, dXf, st.load(ws.xhatF, &ws.mlin), ws.invStdF,
+		st.vec(&ws.pGamma, m.Layout.lnF, h), mRows, h)
+	dOut := st.stage(dX)
 
 	// Blocks in reverse, double-buffering the input gradient (block i reads
-	// dX while writing the other buffer). Under checkpointing, recompute
+	// dOut while writing the other buffer). Under checkpointing, recompute
 	// each block's internals from its saved input first.
-	next := fs.dXb
+	next := ws.dXb
 	for i := m.Cfg.Layers - 1; i >= 0; i-- {
 		if m.BackwardPreHook != nil {
 			m.BackwardPreHook(i)
 		}
-		acts := &fs.blocks[i]
+		acts := ws.acts(i, m.Checkpoint, m.Cfg.Layers)
 		if m.Checkpoint {
+			// Without a Store, the f32 input is its own buffer and the
+			// recompute overwrites it in place: it is read exactly once.
+			x := ws.x
 			if m.Store != nil {
-				acts.x = m.Store.Get(i)
+				copy(x, m.Store.Get(i))
+			} else {
+				x = st.load(ws.inputs[i], &ws.x)
 			}
-			out := fs.outs[i]
-			m.blockForward(i, acts, out, fs.batch, fs.seqLen) // rebuild internals
+			m.blockForward(i, acts, x, ws.batch, ws.seqLen)
 		}
-		m.blockBackward(i, acts, dX, next, fs.batch, fs.seqLen)
-		dX, next = next, dX
+		done := dOut.f
+		dOut = m.blockBackward(i, acts, dOut, next, ws.batch, ws.seqLen)
+		next = done
 		if m.BackwardHook != nil {
 			m.BackwardHook(i)
 		}
 	}
 
 	// Embedding gradients.
-	for b := 0; b < fs.batch; b++ {
-		for t := 0; t < fs.seqLen; t++ {
-			id := fs.ids[b*fs.seqLen+t]
-			row := dX[(b*fs.seqLen+t)*h : (b*fs.seqLen+t+1)*h]
+	dX = dOut.f
+	for b := 0; b < ws.batch; b++ {
+		for t := 0; t < ws.seqLen; t++ {
+			id := ws.ids[b*ws.seqLen+t]
+			row := dX[(b*ws.seqLen+t)*h : (b*ws.seqLen+t+1)*h]
 			tensor.Add(dTok[id*h:(id+1)*h], row)
 			tensor.Add(dPos[t*h:(t+1)*h], row)
 		}
@@ -312,9 +305,10 @@ func (m *Model) Backward() {
 const lnEps = 1e-5
 
 // CheckpointStore abstracts where activation checkpoints live between the
-// forward and backward passes. Put is called once per block during forward;
-// Get must return the identical values during backward (blocks are fetched
-// in reverse order).
+// forward and backward passes. Put is called once per block during forward
+// and must copy x: the model reuses the buffer for the next block. Get must
+// return the identical values during backward (blocks are fetched in
+// reverse order); the model copies them out before computing.
 type CheckpointStore interface {
 	Put(layer int, x []float32)
 	Get(layer int) []float32

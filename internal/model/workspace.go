@@ -15,6 +15,34 @@ import "repro/internal/tensor"
 // kernels, explicit copies) or zeroes it first when the consuming kernel
 // accumulates (see the tensor package's *Backward conventions).
 
+// operand is one tensor as the kernels read it: f holds fp32 values, h a
+// binary16 image. Each storage fills and reads only the field it owns
+// (fp16.go), except that a staged fp16 d-tensor carries both.
+type operand struct {
+	f []float32
+	h tensor.HalfBuffer
+}
+
+func (o operand) bytes() int64 {
+	return int64(cap(o.f))*tensor.BytesPerFloat32 + int64(cap(o.h))*tensor.BytesPerHalf
+}
+
+// blockActs holds exactly the tensors one block's backward pass reads.
+// The inverse standard deviations stay fp32 under either storage: they are
+// O(M) and precision-critical.
+type blockActs struct {
+	xhat1, a, qkv, probs, ctx, xhat2, mlin, h1, g operand
+	invStd1, invStd2                              []float32
+}
+
+func (a *blockActs) bytes() int64 {
+	n := int64(cap(a.invStd1)+cap(a.invStd2)) * tensor.BytesPerFloat32
+	for _, o := range [...]operand{a.xhat1, a.a, a.qkv, a.probs, a.ctx, a.xhat2, a.mlin, a.h1, a.g} {
+		n += o.bytes()
+	}
+	return n
+}
+
 // workspace holds the per-model scratch. It doubles as the saved forward
 // state: Loss fills the activation fields and Backward consumes them.
 type workspace struct {
@@ -22,48 +50,44 @@ type workspace struct {
 	batch, seqLen int
 	ids           []int
 	targets       []int
-	x0            []float32 // embedding output
-	blocks        []blockActs
-	outs          [][]float32 // per-block outputs (block i's out = block i+1's input)
-	xL            []float32   // last block output (alias into outs)
-	xhatF         []float32
+	blocks        []blockActs // per-block saved tensors (no Checkpoint)
+	shared        blockActs   // the one set Checkpoint recomputes into
+	inputs        []operand   // per-block inputs (Checkpoint, no Store)
+	xf, xhatF     operand     // final layernorm output and normalized input
 	invStdF       []float32
-	xf            []float32 // final layernorm output
-	logits        []float32
-	probs         []float32 // softmax over vocab
+	probs         []float32 // [M,v] logits, probs after Loss, dLogits in Backward
 
-	// backward scratch
-	dLogits []float32
-	dXf     []float32
-	dXa     []float32 // input-gradient double buffer (blocks alternate)
-	dXb     []float32
-	dX2     []float32
-	dG      []float32
-	dH1     []float32
-	dMlin   []float32
-	dCtx    []float32
-	dQKV    []float32
-	dA      []float32
+	// One layer's fp32 working set, shared by every block. Forward: x is
+	// the residual stream and x2 the post-attention residual; under fp16
+	// storage a, qkv, attn, ctx, mlin, h1 and g stage the saved tensors on
+	// their way into binary16. Backward reuses them for the d-tensors (see
+	// blockBackward); dXa/dXb double-buffer the input gradient.
+	x, x2, a, qkv, attn, ctx, mlin, h1, g []float32
+	dH1, dXa, dXb                         []float32
 
 	// per-(sample, head) attention scratch, shared by forward and backward
 	qh, kh, vh, ctxh []float32
 	dctxh, dP, dS    []float32
 	dqh, dkh, dvh    []float32
 
-	// fp16 compute path (fp16.go). Saved activations live in the 2-byte
-	// hblocks/hxf/hxhatF stores; the s* fp32 staging buffers are shared by
-	// every layer (one layer's working set, not one per layer) and reused
-	// again by backward. hdXa/hdXb double-buffer the input gradient in
-	// 2-byte form; hdStage holds the transient fp16 image of whichever
-	// d-tensor feeds the next fused matmul.
-	hblocks                                []blockActsH
-	hxf, hxhatF                            tensor.HalfBuffer
-	hdLogits, hdXa, hdXb, hdStage          tensor.HalfBuffer
-	sX, sXhat, sA, sCtx, sAttn, sX2, sMlin []float32
-	sQKV, sProbs, sH1, sG, sDH1, sDQKV     []float32
-	sLogits                                []float32 // logits, then probs, then dLogits
-	pGamma, pBeta, pBias                   []float32 // fp16 param decode scratch
-	overflow                               bool      // any fp16 store overflowed since TakeOverflow
+	// fp16 storage only: the binary16 image of the d-tensor feeding the
+	// next matmuls, the parameter decode scratch, and the overflow latch
+	// (any binary16 store overflowed since TakeOverflow).
+	hStage               tensor.HalfBuffer
+	pGamma, pBeta, pBias []float32
+	overflow             bool
+}
+
+// acts returns block i's saved-tensor set: its own, or under checkpointing
+// the one shared set every block recomputes into.
+func (ws *workspace) acts(i int, checkpoint bool, layers int) *blockActs {
+	if checkpoint {
+		return &ws.shared
+	}
+	if len(ws.blocks) != layers {
+		ws.blocks = make([]blockActs, layers)
+	}
+	return &ws.blocks[i]
 }
 
 // grow returns a slice of length n backed by buf when its capacity
@@ -74,6 +98,14 @@ func grow(buf []float32, n int) []float32 {
 		return buf[:n]
 	}
 	return make([]float32, n)
+}
+
+// growH is grow for binary16 buffers.
+func growH(buf tensor.HalfBuffer, n int) tensor.HalfBuffer {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return tensor.NewHalfBuffer(n)
 }
 
 // ReleaseWorkspace drops every retained scratch buffer (and any pending
@@ -91,50 +123,23 @@ func (m *Model) WorkspaceBytes() int64 {
 	ws := &m.ws
 	var n int
 	for _, b := range [][]float32{
-		ws.x0, ws.xhatF, ws.invStdF, ws.xf, ws.logits, ws.probs,
-		ws.dLogits, ws.dXf, ws.dXa, ws.dXb, ws.dX2, ws.dG, ws.dH1,
-		ws.dMlin, ws.dCtx, ws.dQKV, ws.dA,
+		ws.invStdF, ws.probs,
+		ws.x, ws.x2, ws.a, ws.qkv, ws.attn, ws.ctx, ws.mlin, ws.h1, ws.g,
+		ws.dH1, ws.dXa, ws.dXb,
 		ws.qh, ws.kh, ws.vh, ws.ctxh, ws.dctxh, ws.dP, ws.dS,
-		ws.dqh, ws.dkh, ws.dvh, ws.xL,
+		ws.dqh, ws.dkh, ws.dvh,
+		ws.pGamma, ws.pBeta, ws.pBias,
 	} {
 		n += cap(b)
 	}
-	// xL aliases the last outs entry; subtract the double count.
-	n -= cap(ws.xL)
-	for _, b := range ws.outs {
-		n += cap(b)
+	total := int64(n)*tensor.BytesPerFloat32 + int64(cap(ws.hStage))*tensor.BytesPerHalf +
+		ws.xf.bytes() + ws.xhatF.bytes() + int64(cap(ws.ids)+cap(ws.targets))*8
+	for _, in := range ws.inputs {
+		total += in.bytes()
 	}
+	total += ws.shared.bytes()
 	for i := range ws.blocks {
-		a := &ws.blocks[i]
-		for _, b := range [][]float32{
-			a.xhat1, a.invStd1, a.a, a.qkv, a.probs, a.ctx, a.attnOut,
-			a.x2, a.xhat2, a.invStd2, a.mlin, a.h1, a.g,
-		} {
-			n += cap(b)
-		}
+		total += ws.blocks[i].bytes()
 	}
-	// fp16-path buffers: fp32 staging at 4 bytes, fp16 stores at 2.
-	for _, b := range [][]float32{
-		ws.sX, ws.sXhat, ws.sA, ws.sCtx, ws.sAttn, ws.sX2, ws.sMlin,
-		ws.sQKV, ws.sProbs, ws.sH1, ws.sG, ws.sDH1, ws.sDQKV,
-		ws.sLogits, ws.pGamma, ws.pBeta, ws.pBias,
-	} {
-		n += cap(b)
-	}
-	var nh int
-	for _, b := range []tensor.HalfBuffer{
-		ws.hxf, ws.hxhatF, ws.hdLogits, ws.hdXa, ws.hdXb, ws.hdStage,
-	} {
-		nh += cap(b)
-	}
-	for i := range ws.hblocks {
-		a := &ws.hblocks[i]
-		for _, b := range []tensor.HalfBuffer{
-			a.xhat1, a.a, a.qkv, a.probs, a.ctx, a.xhat2, a.mlin, a.h1, a.g,
-		} {
-			nh += cap(b)
-		}
-		n += cap(a.invStd1) + cap(a.invStd2)
-	}
-	return int64(n)*4 + int64(nh)*2 + int64(cap(ws.ids)+cap(ws.targets))*8
+	return total
 }
