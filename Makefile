@@ -27,10 +27,10 @@ test:
 
 # Race-detector gate for the concurrent packages: the collectives, the
 # stream scheduler, the trainer overlap/prefetch/accumulation paths, the
-# engine lifecycle, the async snapshotter + fault-injection paths, and the
-# parallel kernels.
+# engine lifecycle, the async snapshotter + fault-injection paths, the
+# parallel kernels, and the model that drives them.
 race:
-	$(GO) test -race ./internal/comm ./internal/zero ./internal/engine ./internal/tensor ./internal/ddp ./internal/serve ./internal/elastic
+	$(GO) test -race ./internal/comm ./internal/zero ./internal/engine ./internal/tensor ./internal/model ./internal/ddp ./internal/serve ./internal/elastic
 
 # Config-roundtrip gate: every committed example config must parse strictly
 # and pass engine.Config.Validate.

@@ -55,7 +55,7 @@ var (
 	// tokenizer, sequence length beyond the model, vocabulary mismatch).
 	ErrData = errors.New("engine: invalid data section")
 	// ErrPrecision marks an invalid precision section (bad loss-scale
-	// knobs, or fp16 compute combined with activation checkpointing).
+	// knobs).
 	ErrPrecision = errors.New("engine: invalid precision section")
 )
 
@@ -130,8 +130,8 @@ type DataConfig struct {
 // 2-byte form, with f32 accumulation inside the fused kernels.
 type PrecisionConfig struct {
 	// FP16Compute enables half-precision activation/weight storage with
-	// fused convert-on-the-fly kernels. Incompatible with
-	// activation_checkpoint (the half path stores, it does not recompute).
+	// fused convert-on-the-fly kernels. Composes with
+	// activation_checkpoint like the f32 path.
 	FP16Compute bool `json:"fp16_compute,omitempty"`
 	// InitialLossScale seeds the dynamic loss scaler (0 = 65536).
 	InitialLossScale float64 `json:"initial_loss_scale,omitempty"`
@@ -300,10 +300,6 @@ func (c Config) Normalized() (Config, error) {
 		if p.InitialLossScale < 0 || p.LossScaleWindow < 0 {
 			return c, fmt.Errorf("%w: initial_loss_scale %g / loss_scale_window %d (want ≥ 0)",
 				ErrPrecision, p.InitialLossScale, p.LossScaleWindow)
-		}
-		if p.FP16Compute && c.Checkpoint {
-			return c, fmt.Errorf("%w: fp16_compute is incompatible with activation_checkpoint (the half path stores activations, it does not recompute them)",
-				ErrPrecision)
 		}
 	}
 

@@ -7,9 +7,8 @@ import (
 	"repro/internal/model"
 )
 
-// The precision block parses from ds_config-style JSON, validates its
-// knobs, and fp16_compute + activation_checkpoint is rejected as
-// ErrPrecision before a world is ever spun up.
+// The precision block parses from ds_config-style JSON and validates its
+// knobs; fp16_compute composes with activation_checkpoint.
 func TestPrecisionConfigParseAndValidate(t *testing.T) {
 	c, err := ParseConfig([]byte(`{
 		"model": {"layers": 2, "hidden": 16, "heads": 2, "vocab": 19, "seq": 8},
@@ -28,18 +27,18 @@ func TestPrecisionConfigParseAndValidate(t *testing.T) {
 		t.Fatalf("valid precision config rejected: %v", err)
 	}
 
-	bad := c
-	bad.Checkpoint = true
-	if err := bad.Validate(); !errors.Is(err, ErrPrecision) {
-		t.Errorf("fp16_compute + activation_checkpoint: got %v, want ErrPrecision", err)
+	ckpt := c
+	ckpt.Checkpoint = true
+	if err := ckpt.Validate(); err != nil {
+		t.Errorf("fp16_compute + activation_checkpoint rejected: %v", err)
 	}
-	bad = c
+	bad := c
 	bad.Precision = &PrecisionConfig{FP16Compute: true, InitialLossScale: -1}
 	if err := bad.Validate(); !errors.Is(err, ErrPrecision) {
 		t.Errorf("negative initial_loss_scale: got %v, want ErrPrecision", err)
 	}
-	// Checkpointing alongside a precision block that does NOT enable fp16
-	// compute stays legal.
+	// Checkpointing alongside a precision block that does not enable fp16
+	// compute is legal too.
 	ok := c
 	ok.Checkpoint = true
 	ok.Precision = &PrecisionConfig{InitialLossScale: 1024}
@@ -121,5 +120,38 @@ func TestEngineFP16ComputeObservesLossScale(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An fp16_compute engine with activation_checkpoint trains bitwise like
+// the same engine without it: the config path reaches the model's
+// recompute under binary16 storage.
+func TestEngineFP16ComputeCheckpointBitwise(t *testing.T) {
+	losses := func(ckpt bool) []float64 {
+		cfg := testEngineConfig()
+		cfg.Checkpoint = ckpt
+		cfg.Precision = &PrecisionConfig{FP16Compute: true}
+		norm, err := cfg.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, targets := model.SyntheticBatch(3, norm.GlobalBatch, norm.Model.Seq, norm.Model.Vocab)
+		var out []float64
+		if _, err := Run(norm, func(e *Engine) {
+			for s := 0; s < 4; s++ {
+				if l := e.TrainBatch(ids, targets); e.Rank() == 0 {
+					out = append(out, l)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ref, got := losses(false), losses(true)
+	for s := range ref {
+		if got[s] != ref[s] {
+			t.Errorf("step %d: checkpointed fp16 loss %.17g != %.17g", s, got[s], ref[s])
+		}
 	}
 }

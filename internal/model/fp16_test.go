@@ -234,3 +234,35 @@ func TestFP16BitwiseGolden(t *testing.T) {
 		t.Error("unexpected overflow at loss scale 1024")
 	}
 }
+
+// fp16 storage checkpoints like f32: inline checkpoints and a Store both
+// recompute exactly the floats the non-checkpointed fp16 pass saves, so
+// loss, gradients and the overflow flag are bitwise unchanged.
+func TestFP16CheckpointMatchesVanilla(t *testing.T) {
+	cfg := Config{Layers: 2, Hidden: 32, Heads: 4, Vocab: 17, Seq: 16}
+	ids, targets := SyntheticBatch(7, 2, cfg.Seq, cfg.Vocab)
+	run := func(ckpt bool, store CheckpointStore) (float64, []float32, bool) {
+		m := New(cfg, 42)
+		m.SetFP16Compute(true)
+		m.LossScale = 1024
+		m.Checkpoint = ckpt
+		m.Store = store
+		m.ZeroGrads()
+		l := m.Loss(ids, targets, 2)
+		m.Backward()
+		return l, m.Grads, m.TakeOverflow()
+	}
+	lv, gv, ov := run(false, nil)
+	for _, tc := range []struct {
+		name  string
+		store CheckpointStore
+	}{{"inline", nil}, {"store", newCopyStore()}} {
+		l, g, o := run(true, tc.store)
+		if l != lv || o != ov {
+			t.Errorf("%s: loss %v overflow %v, want %v %v", tc.name, l, o, lv, ov)
+		}
+		if d := tensor.MaxDiff(gv, g); d != 0 {
+			t.Errorf("%s: gradients differ under checkpointing by %g", tc.name, d)
+		}
+	}
+}

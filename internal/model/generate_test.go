@@ -77,3 +77,28 @@ func TestNextTokenEmptyPanics(t *testing.T) {
 	}()
 	New(Config{Layers: 1, Hidden: 8, Heads: 2, Vocab: 5, Seq: 4}, 1).NextToken(nil)
 }
+
+// Generate on an fp16 model returns, token by token, the argmax of that
+// model's own Loss probabilities at the last position.
+func TestGenerateFP16MatchesLossArgmax(t *testing.T) {
+	cfg := Config{Layers: 2, Hidden: 16, Heads: 2, Vocab: 11, Seq: 8}
+	m := New(cfg, 5)
+	m.SetFP16Compute(true)
+	prompt := []int{1, 2, 3}
+	got := m.Generate(prompt, 4)
+	ctx := append([]int(nil), prompt...)
+	for i, tok := range got {
+		m.Loss(ctx, make([]int, len(ctx)), 1)
+		row := m.ws.probs[(len(ctx)-1)*cfg.Vocab : len(ctx)*cfg.Vocab]
+		best := 0
+		for j, p := range row {
+			if p > row[best] {
+				best = j
+			}
+		}
+		if tok != best {
+			t.Fatalf("token %d: Generate gave %d, fp16 Loss argmax is %d", i, tok, best)
+		}
+		ctx = append(ctx, tok)
+	}
+}

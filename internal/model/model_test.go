@@ -249,3 +249,94 @@ func TestBackwardWithoutLossPanics(t *testing.T) {
 	}()
 	New(tinyConfig(), 1).Backward()
 }
+
+// copyStore is a CheckpointStore that copies each checkpoint, as the
+// contract requires.
+type copyStore struct{ ckpts map[int][]float32 }
+
+func newCopyStore() *copyStore { return &copyStore{ckpts: map[int][]float32{}} }
+
+func (s *copyStore) Put(layer int, x []float32) {
+	s.ckpts[layer] = append(s.ckpts[layer][:0], x...)
+}
+func (s *copyStore) Get(layer int) []float32 { return s.ckpts[layer] }
+
+// Checkpointing must buy memory: with a Store holding the block inputs the
+// workspace does not grow with depth at all, and without one it grows by
+// exactly one stored block input (rows × hidden in the storage's width) per
+// layer — every other activation is recomputed into one shared set.
+func TestCheckpointingSavesMemory(t *testing.T) {
+	const batch, seq, hidden = 4, 32, 64
+	ids, targets := SyntheticBatch(5, batch, seq, 64)
+	bytesAt := func(layers int, fp16 bool, store CheckpointStore) int64 {
+		m := New(Config{Layers: layers, Hidden: hidden, Heads: 4, Vocab: 64, Seq: seq}, 1)
+		m.SetFP16Compute(fp16)
+		m.Checkpoint = true
+		m.Store = store
+		m.Loss(ids, targets, batch)
+		m.Backward()
+		return m.WorkspaceBytes()
+	}
+	for _, fp16 := range []bool{false, true} {
+		width := int64(tensor.BytesPerFloat32)
+		if fp16 {
+			width = tensor.BytesPerHalf
+		}
+		if a, b := bytesAt(2, fp16, newCopyStore()), bytesAt(8, fp16, newCopyStore()); a != b {
+			t.Errorf("fp16=%v: with a Store, workspace grows with depth: %d B at 2 layers, %d B at 8", fp16, a, b)
+		}
+		a, b := bytesAt(2, fp16, nil), bytesAt(8, fp16, nil)
+		if want := 6 * batch * seq * hidden * width; b-a != want {
+			t.Errorf("fp16=%v: inline checkpoints grow the workspace by %d B over 6 layers, want %d", fp16, b-a, want)
+		}
+	}
+}
+
+// Checkpointing through a Store recomputes the same floats as the inline
+// checkpoints and the vanilla pass.
+func TestCheckpointStoreMatchesVanilla(t *testing.T) {
+	cfg := tinyConfig()
+	ids, targets := SyntheticBatch(11, 2, cfg.Seq, cfg.Vocab)
+	run := func(ckpt bool, store CheckpointStore) (float64, []float32) {
+		m := New(cfg, 9)
+		m.Checkpoint = ckpt
+		m.Store = store
+		m.ZeroGrads()
+		l := m.Loss(ids, targets, 2)
+		m.Backward()
+		return l, m.Grads
+	}
+	lv, gv := run(false, nil)
+	ls, gs := run(true, newCopyStore())
+	if lv != ls {
+		t.Errorf("loss differs under a checkpoint Store: %v vs %v", lv, ls)
+	}
+	if d := tensor.MaxDiff(gv, gs); d != 0 {
+		t.Errorf("gradients differ under a checkpoint Store by %g", d)
+	}
+}
+
+// LossScale scales the gradients under f32 storage too; a power-of-two
+// scale is exact in fp32.
+func TestLossScaleScalesF32Gradients(t *testing.T) {
+	cfg := tinyConfig()
+	ids, targets := SyntheticBatch(5, 2, cfg.Seq, cfg.Vocab)
+	run := func(scale float32) (float64, []float32) {
+		m := New(cfg, 13)
+		m.LossScale = scale
+		m.ZeroGrads()
+		l := m.Loss(ids, targets, 2)
+		m.Backward()
+		return l, m.Grads
+	}
+	l1, g1 := run(0)
+	l8, g8 := run(8)
+	if l1 != l8 {
+		t.Errorf("loss scale leaked into the forward pass: %v vs %v", l1, l8)
+	}
+	for i := range g1 {
+		if g8[i] != 8*g1[i] {
+			t.Fatalf("grad %d: %g at scale 8, want 8 × %g", i, g8[i], g1[i])
+		}
+	}
+}

@@ -155,19 +155,85 @@ func TestFP16LossScaleBackoffRecovers(t *testing.T) {
 	}
 }
 
-// FP16Compute is incompatible with activation checkpointing (the half path
-// stores activations, it does not recompute them) and must be rejected at
-// construction, before any collective is in flight.
-func TestFP16ComputeRejectsCheckpoint(t *testing.T) {
-	w := comm.NewWorld(1)
-	w.Run(func(c *comm.Comm) {
-		_, err := New(c, testConfig(), Options{
-			LR: testLR, Seed: testSeed, FP16Compute: true, Checkpoint: true,
-		})
-		if err == nil {
-			t.Error("New accepted FP16Compute together with Checkpoint")
+// FP16Compute composes with activation checkpointing: inline checkpoints
+// and an InlineStore recompute exactly what the non-checkpointed fp16 pass
+// saves. At model level one Loss/Backward gives the same loss and gradient
+// bits; over a short trajectory every stage × schedule walks the same
+// losses and lands on the same parameters.
+func TestFP16ComputeCheckpointBitwise(t *testing.T) {
+	cfg := testConfig()
+	const n, steps, batch = 2, 6, 4
+	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
+
+	modelRun := func(ckpt bool, store model.CheckpointStore) (float64, []float32) {
+		m := model.New(cfg, testSeed)
+		m.SetFP16Compute(true)
+		m.LossScale = 1024
+		m.Checkpoint = ckpt
+		m.Store = store
+		m.ZeroGrads()
+		l := m.Loss(ids, targets, batch)
+		m.Backward()
+		return l, m.Grads
+	}
+	lv, gv := modelRun(false, nil)
+	for _, store := range []model.CheckpointStore{nil, NewInlineStore()} {
+		l, g := modelRun(true, store)
+		if l != lv {
+			t.Errorf("model, store=%v: checkpointed fp16 loss %.17g != %.17g", store != nil, l, lv)
 		}
-	})
+		if d := tensor.MaxDiff(gv, g); d != 0 {
+			t.Errorf("model, store=%v: checkpointing changed fp16 gradients by %g", store != nil, d)
+		}
+	}
+
+	trajectory := func(opts Options, ckpt, store bool) ([]float64, []float32) {
+		losses := make([]float64, steps)
+		var params []float32
+		w := comm.NewWorld(n)
+		w.Run(func(c *comm.Comm) {
+			o := opts
+			o.Checkpoint = ckpt
+			if store {
+				o.Store = NewInlineStore()
+			}
+			tr := MustNew(c, cfg, o)
+			defer tr.Close()
+			for s := 0; s < steps; s++ {
+				l := tr.Step(ids, targets, batch)
+				if c.Rank() == 0 {
+					losses[s] = l
+				}
+			}
+			if o.Stage == StageFull {
+				tr.gatherParams()
+			}
+			if c.Rank() == 0 {
+				params = append([]float32(nil), tr.Model.Params...)
+			}
+		})
+		return losses, params
+	}
+	for _, opts := range []Options{
+		{Stage: StageOSGrad, Overlap: true},
+		{Stage: StageFull, Overlap: true, Prefetch: true},
+	} {
+		opts.LR, opts.Seed, opts.FP16Compute, opts.BucketElems = testLR, testSeed, true, 193
+		refL, refP := trajectory(opts, false, false)
+		for _, store := range []bool{false, true} {
+			gotL, gotP := trajectory(opts, true, store)
+			for s := range refL {
+				if gotL[s] != refL[s] {
+					t.Errorf("%v store=%v step %d: checkpointed fp16 loss %.17g != %.17g",
+						opts.Stage, store, s, gotL[s], refL[s])
+					break
+				}
+			}
+			if d := tensor.MaxDiff(refP, gotP); d != 0 {
+				t.Errorf("%v store=%v: checkpointing changed fp16 parameters by %g", opts.Stage, store, d)
+			}
+		}
+	}
 }
 
 // Trainer-level residency gate: with FP16Compute on, the step workspace

@@ -127,14 +127,15 @@ type Options struct {
 	// Collectives carry F16-typed buffers, so Stats counts 2 bytes per
 	// element natively.
 	FP16 bool
-	// FP16Compute enables the true fp16 compute path: activations and the
-	// parameter copy the kernels read are *stored* in 2-byte binary16
-	// (model.SetFP16Compute) with fp32 accumulation inside the fused half
-	// kernels, and dynamic loss scaling guards the gradient stream —
-	// overflowing steps are skipped by a group-wide vote so every rank
-	// backs the scale off together. Implies FP16 (the master-copy and
-	// fp16-wire machinery). Incompatible with Checkpoint: the recompute
-	// path has no half-domain equivalent yet (zero.New reports the error).
+	// FP16Compute enables the true fp16 compute path: the model's one GPT
+	// block runs on binary16 operand storage (model.SetFP16Compute) —
+	// saved activations, matmul operands and the parameter copy the
+	// kernels read are stored in 2 bytes, with fp32 accumulation inside the
+	// fused half kernels — and dynamic loss scaling guards the gradient
+	// stream: overflowing steps are skipped by a group-wide vote so every
+	// rank backs the scale off together. Implies FP16 (the master-copy and
+	// fp16-wire machinery). Composes with Checkpoint and Store like the
+	// f32 path.
 	FP16Compute bool
 	// InitialLossScale overrides the dynamic loss scaler's starting scale
 	// under FP16Compute (0 = the conventional 2^16).
@@ -261,9 +262,6 @@ func New(c *comm.Comm, cfg model.Config, opts Options) (*Trainer, error) {
 		return nil, fmt.Errorf("zero: unknown stage %v (want StageDDP..StageFull)", opts.Stage)
 	}
 	if opts.FP16Compute {
-		if opts.Checkpoint {
-			return nil, fmt.Errorf("zero: FP16Compute is incompatible with activation checkpointing")
-		}
 		opts.FP16 = true // fp16 compute implies the fp16 master-copy/wire machinery
 	}
 	if opts.Topology.NodeSize != 0 {
