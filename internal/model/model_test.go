@@ -139,7 +139,8 @@ func TestModelGradientCheck(t *testing.T) {
 }
 
 // Activation checkpointing must be numerically identical to the vanilla
-// backward pass (it recomputes the same floats).
+// backward pass (it recomputes the same floats), with the block inputs
+// held inline or by a Store.
 func TestCheckpointingMatchesVanilla(t *testing.T) {
 	cfg := tinyConfig()
 	ids, targets := SyntheticBatch(11, 2, cfg.Seq, cfg.Vocab)
@@ -149,17 +150,20 @@ func TestCheckpointingMatchesVanilla(t *testing.T) {
 	lv := vanilla.Loss(ids, targets, 2)
 	vanilla.Backward()
 
-	ckpt := New(cfg, 9)
-	ckpt.Checkpoint = true
-	ckpt.ZeroGrads()
-	lc := ckpt.Loss(ids, targets, 2)
-	ckpt.Backward()
+	for _, store := range []CheckpointStore{nil, newCopyStore()} {
+		ckpt := New(cfg, 9)
+		ckpt.Checkpoint = true
+		ckpt.Store = store
+		ckpt.ZeroGrads()
+		lc := ckpt.Loss(ids, targets, 2)
+		ckpt.Backward()
 
-	if lv != lc {
-		t.Errorf("loss differs under checkpointing: %v vs %v", lv, lc)
-	}
-	if d := tensor.MaxDiff(vanilla.Grads, ckpt.Grads); d != 0 {
-		t.Errorf("gradients differ under checkpointing by %g", d)
+		if lv != lc {
+			t.Errorf("store=%v: loss differs under checkpointing: %v vs %v", store != nil, lv, lc)
+		}
+		if d := tensor.MaxDiff(vanilla.Grads, ckpt.Grads); d != 0 {
+			t.Errorf("store=%v: gradients differ under checkpointing by %g", store != nil, d)
+		}
 	}
 }
 
@@ -289,30 +293,6 @@ func TestCheckpointingSavesMemory(t *testing.T) {
 		if want := 6 * batch * seq * hidden * width; b-a != want {
 			t.Errorf("fp16=%v: inline checkpoints grow the workspace by %d B over 6 layers, want %d", fp16, b-a, want)
 		}
-	}
-}
-
-// Checkpointing through a Store recomputes the same floats as the inline
-// checkpoints and the vanilla pass.
-func TestCheckpointStoreMatchesVanilla(t *testing.T) {
-	cfg := tinyConfig()
-	ids, targets := SyntheticBatch(11, 2, cfg.Seq, cfg.Vocab)
-	run := func(ckpt bool, store CheckpointStore) (float64, []float32) {
-		m := New(cfg, 9)
-		m.Checkpoint = ckpt
-		m.Store = store
-		m.ZeroGrads()
-		l := m.Loss(ids, targets, 2)
-		m.Backward()
-		return l, m.Grads
-	}
-	lv, gv := run(false, nil)
-	ls, gs := run(true, newCopyStore())
-	if lv != ls {
-		t.Errorf("loss differs under a checkpoint Store: %v vs %v", lv, ls)
-	}
-	if d := tensor.MaxDiff(gv, gs); d != 0 {
-		t.Errorf("gradients differ under a checkpoint Store by %g", d)
 	}
 }
 
