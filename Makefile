@@ -28,9 +28,9 @@ test:
 # Race-detector gate for the concurrent packages: the collectives, the
 # stream scheduler, the trainer overlap/prefetch/accumulation paths, the
 # engine lifecycle, the async snapshotter + fault-injection paths, the
-# parallel kernels, and the model that drives them.
+# parallel kernels, the model that drives them, and the data loader.
 race:
-	$(GO) test -race ./internal/comm ./internal/zero ./internal/engine ./internal/tensor ./internal/model ./internal/ddp ./internal/serve ./internal/elastic
+	$(GO) test -race ./internal/comm ./internal/zero ./internal/engine ./internal/tensor ./internal/model ./internal/data ./internal/serve ./internal/elastic
 
 # Config-roundtrip gate: every committed example config must parse strictly
 # and pass engine.Config.Validate.

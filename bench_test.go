@@ -15,12 +15,10 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/data"
-	"repro/internal/ddp"
 	"repro/internal/elastic"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/mp"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/zero"
@@ -81,9 +79,13 @@ func benchWorld(b *testing.B, run func(c *comm.Comm, ids, targets []int)) {
 	})
 }
 
+// BenchmarkDDPStep is baseline data parallelism: the trainer at StageDDP
+// with DDP-sized (4M-element) gradient buckets.
 func BenchmarkDDPStep(b *testing.B) {
 	benchWorld(b, func(c *comm.Comm, ids, targets []int) {
-		tr := ddp.New(c, benchConfig(), 1, 1e-3)
+		tr := zero.MustNew(c, benchConfig(), zero.Options{
+			Stage: zero.StageDDP, LR: 1e-3, Seed: 1, BucketElems: 1 << 22,
+		})
 		for i := 0; i < b.N; i++ {
 			tr.Step(ids, targets, 4)
 		}
@@ -188,22 +190,6 @@ func BenchmarkHierarchicalAllReduce1M(b *testing.B) {
 			if err := c.AllReduceHierarchical(comm.F32Buf(x), nodeSize); err != nil {
 				b.Error(err)
 			}
-		}
-	})
-}
-
-func BenchmarkParallelBlock(b *testing.B) {
-	const n, hidden, heads, batch, seq = 4, 64, 4, 2, 16
-	x := make([]float32, batch*seq*hidden)
-	dy := make([]float32, batch*seq*hidden)
-	w := comm.NewWorld(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	w.Run(func(c *comm.Comm) {
-		blk := mp.NewParallelBlock(c, hidden, heads, 1)
-		for i := 0; i < b.N; i++ {
-			blk.Forward(x, batch, seq)
-			blk.Backward(dy)
 		}
 	})
 }
@@ -513,21 +499,22 @@ func BenchmarkAccumStep(b *testing.B) {
 	}
 }
 
-// BenchmarkMegatronGPTStep measures one training step of the full
-// Megatron-parallel GPT at MP=4 (the executable baseline of Figure 2).
+// BenchmarkMegatronGPTStep measures one training step of the model's
+// tensor-parallel shard at MP=4 (the executable baseline of Figure 2).
 func BenchmarkMegatronGPTStep(b *testing.B) {
-	const layers, hidden, heads, vocab, seq, batch = 2, 64, 4, 64, 16, 2
-	ids, targets := model.SyntheticBatch(1, batch, seq, vocab)
+	cfg := model.Config{Layers: 2, Hidden: 64, Heads: 4, Vocab: 64, Seq: 16}
+	const batch = 2
+	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
 	w := comm.NewWorld(4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	w.Run(func(c *comm.Comm) {
-		m := mp.NewGPT(c, layers, hidden, heads, vocab, seq, 1)
+		m := model.NewShard(cfg, 1, c)
 		for i := 0; i < b.N; i++ {
 			m.ZeroGrads()
 			m.Loss(ids, targets, batch)
 			m.Backward()
-			m.SGDStep(0.01)
+			tensor.AXPY(-0.01, m.Grads, m.Params)
 		}
 	})
 }

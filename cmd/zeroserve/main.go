@@ -43,6 +43,15 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection bounds: a client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout.
+// There is no read/write timeout on the whole request, because metric
+// streams stay open for a job's lifetime.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("zeroserve: ")
@@ -96,7 +105,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Addr: srv.Config().Addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              srv.Config().Addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errc := make(chan error, 1)
 	go func() {

@@ -1,16 +1,17 @@
 // mp2d: the paper's deployment topology (§10.1) at laptop scale — Megatron
 // tensor model parallelism inside each "node", data parallelism across
 // them. An 8-rank world becomes a 4-way-MP × 2-way-DP grid; each replica
-// runs a full Megatron transformer block (head-parallel attention +
-// tensor-parallel MLP) over its half of the batch, and weight gradients
-// synchronize across the DP groups.
+// trains the model's tensor-parallel shard (model.NewShard: head-parallel
+// attention + column/row-split MLP) over its half of the batch, and the
+// flat gradient buffers are averaged across the DP groups.
 package main
 
 import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/mp"
+	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -18,24 +19,17 @@ func main() {
 		mpSize = 4
 		dpSize = 2
 		world  = mpSize * dpSize
-		hidden = 64
-		heads  = 8
-		seq    = 16
 		perDP  = 4
+		steps  = 5
 	)
+	cfg := model.Config{Layers: 2, Hidden: 64, Heads: 8, Vocab: 64, Seq: 16}
 	batch := perDP * dpSize
-	m := batch * seq
-	x := make([]float32, m*hidden)
-	dy := make([]float32, m*hidden)
-	for i := range x {
-		x[i] = float32(i%13)*0.01 - 0.06
-		dy[i] = float32(i%7)*0.01 - 0.03
-	}
+	ids, targets := model.SyntheticBatch(42, batch, cfg.Seq, cfg.Vocab)
 
 	fmt.Printf("topology: %d ranks = %d-way MP (in-node) x %d-way DP (across nodes)\n",
 		world, mpSize, dpSize)
-	fmt.Printf("block: hidden %d, %d attention heads (%d heads per MP rank)\n\n",
-		hidden, heads, heads/mpSize)
+	fmt.Printf("model: %d layers, hidden %d, %d attention heads (%d heads per MP rank)\n\n",
+		cfg.Layers, cfg.Hidden, cfg.Heads, cfg.Heads/mpSize)
 
 	w := comm.NewWorld(world)
 	w.Run(func(c *comm.Comm) {
@@ -50,36 +44,34 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		replica := c.Rank() / mpSize
 
-		blk := mp.NewParallelBlock(mpGroup, hidden, heads, 42)
-
-		lo := replica * perDP * seq * hidden
-		hi := (replica + 1) * perDP * seq * hidden
-		blk.Forward(x[lo:hi], perDP, seq)
-		blk.Backward(dy[lo:hi])
-
-		// DP sync of the MP-shard gradients (each DP group shares the same
-		// logical shard).
-		for _, g := range [][]float32{
-			blk.Attn.DWQKV, blk.Attn.DWProj, blk.MLP.FC1.DW, blk.MLP.FC2.DW,
-			blk.DGamma1, blk.DBeta1, blk.DGamma2, blk.DBeta2,
-		} {
-			dpGroup.AllReduceAvg(g)
+		m := model.NewShard(cfg, 42, mpGroup)
+		sIDs, sTg, per := model.ShardBatch(ids, targets, batch, dpSize, dpGroup.Rank())
+		for s := 0; s < steps; s++ {
+			m.ZeroGrads()
+			loss := []float32{float32(m.Loss(sIDs, sTg, per))}
+			m.Backward()
+			// DP sync of the whole flat buffer: each DP group holds the same
+			// MP shard, replicated segments included.
+			dpGroup.AllReduceAvg(m.Grads)
+			dpGroup.AllReduceAvg(loss)
+			tensor.AXPY(-0.05, m.Grads, m.Params)
+			if c.Rank() == 0 {
+				fmt.Printf("step %d: loss %.4f\n", s, loss[0])
+			}
 		}
 
 		if c.Rank() == 0 {
-			fmt.Printf("rank 0: MP group rank %d/%d, DP group rank %d/%d\n",
+			fmt.Printf("\nrank 0: MP group rank %d/%d, DP group rank %d/%d\n",
 				mpGroup.Rank(), mpGroup.Size(), dpGroup.Rank(), dpGroup.Size())
-			fmt.Printf("rank 0 attention shard: WQKV %d elems (1/%d of %d), WProj %d elems\n",
-				len(blk.Attn.WQKV), mpSize, hidden*3*hidden, len(blk.Attn.WProj))
+			fmt.Printf("rank 0 shard: %d of %d parameters\n", m.NumParams(), cfg.ParamCount())
 		}
 	})
 
 	fmt.Println("\nper-rank traffic (elements sent, per group label):")
 	for r := 0; r < world; r++ {
 		st := w.Stats(r)
-		fmt.Printf("  rank %d: total %6d | MP group %6d | DP group %6d\n",
+		fmt.Printf("  rank %d: total %7d | MP group %7d | DP group %7d\n",
 			r, st.ElemsSent,
 			st.PerGroup["mp"].Elems,
 			st.PerGroup["dp"].Elems)

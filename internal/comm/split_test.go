@@ -344,3 +344,111 @@ func TestHierarchicalUnevenPartitions(t *testing.T) {
 		})
 	}
 }
+
+// MP groups are consecutive blocks, DP groups strided, and a group
+// all-reduce only touches its members.
+func TestGroupTopology(t *testing.T) {
+	const world, mpSize = 6, 3
+	w := NewWorld(world)
+	sums := make([]float32, world)
+	w.Run(func(c *Comm) {
+		mpGroup, err := c.MPGroup(mpSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		dpGroup, err := c.DPGroup(mpSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if mpGroup.Size() != mpSize || dpGroup.Size() != world/mpSize {
+			t.Errorf("rank %d: group sizes %d/%d", c.Rank(), mpGroup.Size(), dpGroup.Size())
+		}
+		x := []float32{float32(c.Rank())}
+		mpGroup.AllReduce(x)
+		sums[c.Rank()] = x[0]
+	})
+	// Ranks 0,1,2 sum to 3; ranks 3,4,5 sum to 12.
+	for r := 0; r < world; r++ {
+		want := float32(3)
+		if r >= mpSize {
+			want = 12
+		}
+		if sums[r] != want {
+			t.Errorf("rank %d: MP-group sum %v, want %v", r, sums[r], want)
+		}
+	}
+}
+
+// Group-local roots and partitions: a broadcast from group rank 2, then
+// reduce-scatter + all-gather = all-reduce, on a Subgroup communicator.
+func TestGroupBroadcastAndReduceScatter(t *testing.T) {
+	const world = 4
+	w := NewWorld(world)
+	w.Run(func(c *Comm) {
+		g, err := c.Subgroup([]int{0, 1, 2, 3})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		x := make([]float32, 5)
+		if g.Rank() == 2 {
+			for i := range x {
+				x[i] = float32(i) + 10
+			}
+		}
+		g.Broadcast(x, 2)
+		if x[4] != 14 {
+			t.Errorf("rank %d: broadcast got %v", c.Rank(), x)
+		}
+		y := make([]float32, 9)
+		for i := range y {
+			y[i] = float32(c.Rank() + 1)
+		}
+		parts := Partition(len(y), g.Size())
+		g.ReduceScatter(y, parts)
+		g.AllGather(y, parts)
+		for i, v := range y {
+			if v != 10 { // 1+2+3+4
+				t.Errorf("rank %d: y[%d] = %v, want 10", c.Rank(), i, v)
+			}
+		}
+	})
+}
+
+// A stream over a subgroup reports the group's rank and size, so a
+// partition built from them (ZeRO-R's Pa store over an MP group) matches
+// what the stream's collectives expect.
+func TestStreamOnSubgroupReportsGroupRankAndSize(t *testing.T) {
+	w := NewWorld(4)
+	w.Run(func(c *Comm) {
+		g, err := c.MPGroup(2)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sched := NewScheduler(g)
+		defer sched.Close()
+		st := sched.Stream("checkpoint")
+		if st.Rank() != g.Rank() || st.Size() != g.Size() {
+			t.Errorf("rank %d: stream rank/size %d/%d, group %d/%d",
+				c.Rank(), st.Rank(), st.Size(), g.Rank(), g.Size())
+		}
+		x := make([]float32, 6)
+		parts := Partition(len(x), st.Size())
+		own := parts[st.Rank()]
+		for i := own.Lo; i < own.Hi; i++ {
+			x[i] = float32(c.Rank())
+		}
+		st.AllGather(F32Buf(x), parts).Wait()
+		base := float32(c.Rank() - g.Rank())
+		want := []float32{base, base, base, base + 1, base + 1, base + 1}
+		for i := range x {
+			if x[i] != want[i] {
+				t.Errorf("rank %d: gathered %v, want %v", c.Rank(), x, want)
+				break
+			}
+		}
+	})
+}

@@ -339,11 +339,12 @@ func (st *Stream) enqueue(op streamOp) Handle {
 // Name returns the stream's ordering-domain name.
 func (st *Stream) Name() string { return st.name }
 
-// Rank returns the rank the stream belongs to.
-func (st *Stream) Rank() int { return st.c32.rank }
+// Rank returns the stream's rank within its communicator's group.
+func (st *Stream) Rank() int { return st.c32.Rank() }
 
-// Size returns the world size.
-func (st *Stream) Size() int { return st.c32.w.n }
+// Size returns the size of the stream's communicator's group (the world
+// size on the world communicator).
+func (st *Stream) Size() int { return st.c32.Size() }
 
 // Depth returns the submission-queue capacity.
 func (st *Stream) Depth() int { return cap(st.ops) }

@@ -18,9 +18,9 @@ const causalMask = -1e9
 // storage each stage names the shared fp32 buffer it borrows.
 func (m *Model) blockForward(i int, acts *blockActs, x []float32, batch, seqLen int) {
 	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
+	heads, dh := m.Layout.heads.Len(), m.Layout.dh
+	hw := heads * dh
+	ffn := m.Layout.ffn.Len()
 	mRows := batch * seqLen
 	off := m.Layout.blocks[i]
 	st := m.st
@@ -36,16 +36,16 @@ func (m *Model) blockForward(i int, acts *blockActs, x []float32, batch, seqLen 
 	st.keep(&acts.a, 0, a)
 
 	// QKV projection.
-	qkv := st.out(&acts.qkv, &ws.qkv, mRows*3*h)
-	st.mm(qkv, acts.a, off.wQKV, mRows, h, 3*h)
-	tensor.AddBiasRows(qkv, st.vec(&ws.pBias, off.bQKV, 3*h), mRows, 3*h)
+	qkv := st.out(&acts.qkv, &ws.qkv, mRows*3*hw)
+	st.mm(qkv, acts.a, off.wQKV, mRows, h, 3*hw)
+	tensor.AddBiasRows(qkv, st.vec(&ws.pBias, off.bQKV, 3*hw), mRows, 3*hw)
 	st.keep(&acts.qkv, 0, qkv)
 
 	// Multi-head causal self-attention. Each head's softmax is kept before
 	// the context matmul reads it, so backward replays the same
 	// probabilities.
 	allProbs := st.out(&acts.probs, &ws.attn, batch*heads*seqLen*seqLen)
-	ctx := st.out(&acts.ctx, &ws.ctx, mRows*h)
+	ctx := st.out(&acts.ctx, &ws.ctx, mRows*hw)
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	ws.qh = grow(ws.qh, seqLen*dh)
 	ws.kh = grow(ws.kh, seqLen*dh)
@@ -73,16 +73,19 @@ func (m *Model) blockForward(i int, acts *blockActs, x []float32, batch, seqLen 
 			tensor.MatMul(ctxh, probs, vh, seqLen, seqLen, dh)
 			// Scatter the head's context back into [M,h].
 			for t := 0; t < seqLen; t++ {
-				copy(ctx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh], ctxh[t*dh:(t+1)*dh])
+				copy(ctx[(b*seqLen+t)*hw+hd*dh:(b*seqLen+t)*hw+(hd+1)*dh], ctxh[t*dh:(t+1)*dh])
 			}
 		}
 	}
 	st.keep(&acts.ctx, 0, ctx)
 
-	// Output projection + residual: x2 = proj(ctx) + x.
+	// Output projection + residual: x2 = proj(ctx) + x. A shard's wproj
+	// (and below its w2) product is a partial sum over its heads (its FFN
+	// columns), all-reduced before the replicated bias is added.
 	ws.x2 = grow(ws.x2, mRows*h)
 	x2 := ws.x2
-	st.mm(x2, acts.ctx, off.wProj, mRows, h, h)
+	st.mm(x2, acts.ctx, off.wProj, mRows, hw, h)
+	m.allReduce(x2)
 	tensor.AddBiasRows(x2, st.vec(&ws.pBias, off.bProj, h), mRows, h)
 	tensor.Add(x2, x)
 	st.round(x2)
@@ -105,21 +108,22 @@ func (m *Model) blockForward(i int, acts *blockActs, x []float32, batch, seqLen 
 	st.keep(&acts.g, 0, g)
 
 	st.mm(x, acts.g, off.wFC2, mRows, ffn, h)
+	m.allReduce(x)
 	tensor.AddBiasRows(x, st.vec(&ws.pBias, off.bFC2, h), mRows, h)
 	tensor.Add(x, x2)
 	st.round(x)
 }
 
-// gatherHead copies one (sample, head) slice of the packed QKV activations
-// into contiguous [T,dh] scratch matrices.
+// gatherHead copies one (sample, local head) slice of the packed [Q|K|V]
+// activations into contiguous [T,dh] scratch matrices.
 func (m *Model) gatherHead(qkv, qh, kh, vh []float32, b, hd, batch, seqLen int) {
-	h := m.Cfg.Hidden
-	dh := h / m.Cfg.Heads
+	dh := m.Layout.dh
+	hw := m.Layout.heads.Len() * dh
 	for t := 0; t < seqLen; t++ {
-		base := (b*seqLen + t) * 3 * h
+		base := (b*seqLen + t) * 3 * hw
 		copy(qh[t*dh:(t+1)*dh], qkv[base+hd*dh:base+(hd+1)*dh])
-		copy(kh[t*dh:(t+1)*dh], qkv[base+h+hd*dh:base+h+(hd+1)*dh])
-		copy(vh[t*dh:(t+1)*dh], qkv[base+2*h+hd*dh:base+2*h+(hd+1)*dh])
+		copy(kh[t*dh:(t+1)*dh], qkv[base+hw+hd*dh:base+hw+(hd+1)*dh])
+		copy(vh[t*dh:(t+1)*dh], qkv[base+2*hw+hd*dh:base+2*hw+(hd+1)*dh])
 	}
 }
 
@@ -137,9 +141,9 @@ func (m *Model) gatherHead(qkv, qh, kh, vh []float32, b, hd, batch, seqLen int) 
 // point (h1, a and mlin for the two xhats, qkv, attn).
 func (m *Model) blockBackward(i int, acts *blockActs, dOut operand, dst []float32, batch, seqLen int) operand {
 	h := m.Cfg.Hidden
-	heads := m.Cfg.Heads
-	dh := h / heads
-	ffn := 4 * h
+	heads, dh := m.Layout.heads.Len(), m.Layout.dh
+	hw := heads * dh
+	ffn := m.Layout.ffn.Len()
 	mRows := batch * seqLen
 	off := m.Layout.blocks[i]
 	g := m.Grads
@@ -165,6 +169,7 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut operand, dst []float3
 	ws.mlin = grow(ws.mlin, mRows*h)
 	dMlin := ws.mlin
 	st.mmBT(dMlin, dh1, off.wFC1, mRows, ffn, h)
+	m.allReduce(dMlin) // a shard's dMlin flows through its FFN columns only
 	st.mmATAdd(g[off.wFC1:off.wFC1+h*ffn], acts.mlin, dh1, mRows, h, ffn)
 	tensor.BiasGradRows(g[off.bFC1:off.bFC1+ffn], dH1, mRows, ffn)
 	tensor.LayerNormBackward(dX2, g[off.ln2Gamma:off.ln2Gamma+h], g[off.ln2Beta:off.ln2Beta+h],
@@ -172,16 +177,16 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut operand, dst []float3
 
 	// Attention output projection backward (dAttnOut == dX2: x2 = x + attnOut).
 	dx2 := st.stage(dX2)
-	ws.ctx = grow(ws.ctx, mRows*h)
+	ws.ctx = grow(ws.ctx, mRows*hw)
 	dCtx := ws.ctx
-	st.mmBT(dCtx, dx2, off.wProj, mRows, h, h)
-	st.mmATAdd(g[off.wProj:off.wProj+h*h], acts.ctx, dx2, mRows, h, h)
+	st.mmBT(dCtx, dx2, off.wProj, mRows, h, hw)
+	st.mmATAdd(g[off.wProj:off.wProj+hw*h], acts.ctx, dx2, mRows, hw, h)
 	tensor.BiasGradRows(g[off.bProj:off.bProj+h], dX2, mRows, h)
 
 	// Attention core backward, per (sample, head).
 	qkv := st.load(acts.qkv, &ws.qkv)
 	allProbs := st.load(acts.probs, &ws.attn)
-	ws.h1 = grow(ws.h1, mRows*3*h)
+	ws.h1 = grow(ws.h1, mRows*3*hw)
 	dQKV := ws.h1
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	ws.qh = grow(ws.qh, seqLen*dh)
@@ -201,7 +206,7 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut operand, dst []float3
 			m.gatherHead(qkv, qh, kh, vh, b, hd, batch, seqLen)
 			probs := allProbs[(b*heads+hd)*seqLen*seqLen : (b*heads+hd+1)*seqLen*seqLen]
 			for t := 0; t < seqLen; t++ {
-				copy(dctxh[t*dh:(t+1)*dh], dCtx[(b*seqLen+t)*h+hd*dh:(b*seqLen+t)*h+(hd+1)*dh])
+				copy(dctxh[t*dh:(t+1)*dh], dCtx[(b*seqLen+t)*hw+hd*dh:(b*seqLen+t)*hw+(hd+1)*dh])
 			}
 			// ctx = P·V.
 			tensor.MatMulBT(dP, dctxh, vh, seqLen, dh, seqLen)
@@ -216,10 +221,10 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut operand, dst []float3
 			tensor.MatMulAT(dkh, dS, qh, seqLen, seqLen, dh)
 			// Scatter head gradients into packed dQKV.
 			for t := 0; t < seqLen; t++ {
-				base := (b*seqLen + t) * 3 * h
+				base := (b*seqLen + t) * 3 * hw
 				copy(dQKV[base+hd*dh:base+(hd+1)*dh], dqh[t*dh:(t+1)*dh])
-				copy(dQKV[base+h+hd*dh:base+h+(hd+1)*dh], dkh[t*dh:(t+1)*dh])
-				copy(dQKV[base+2*h+hd*dh:base+2*h+(hd+1)*dh], dvh[t*dh:(t+1)*dh])
+				copy(dQKV[base+hw+hd*dh:base+hw+(hd+1)*dh], dkh[t*dh:(t+1)*dh])
+				copy(dQKV[base+2*hw+hd*dh:base+2*hw+(hd+1)*dh], dvh[t*dh:(t+1)*dh])
 			}
 		}
 	}
@@ -228,9 +233,10 @@ func (m *Model) blockBackward(i int, acts *blockActs, dOut operand, dst []float3
 	dqkv := st.stage(dQKV)
 	ws.a = grow(ws.a, mRows*h)
 	dA := ws.a
-	st.mmBT(dA, dqkv, off.wQKV, mRows, 3*h, h)
-	st.mmATAdd(g[off.wQKV:off.wQKV+h*3*h], acts.a, dqkv, mRows, h, 3*h)
-	tensor.BiasGradRows(g[off.bQKV:off.bQKV+3*h], dQKV, mRows, 3*h)
+	st.mmBT(dA, dqkv, off.wQKV, mRows, 3*hw, h)
+	m.allReduce(dA) // a shard's dA flows through its heads only
+	st.mmATAdd(g[off.wQKV:off.wQKV+h*3*hw], acts.a, dqkv, mRows, h, 3*hw)
+	tensor.BiasGradRows(g[off.bQKV:off.bQKV+3*hw], dQKV, mRows, 3*hw)
 
 	// LN1 + residual: dx = dx2 (residual) + LN1-backward(dA).
 	copy(dst, dX2)

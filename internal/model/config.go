@@ -11,7 +11,11 @@
 // internal/perfmodel and the memory planner.
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/comm"
+)
 
 // Config describes a transformer architecture. The JSON tags are the
 // "model" block of the declarative engine config (internal/engine).
@@ -52,10 +56,14 @@ type Layout struct {
 	Total    int
 
 	// Offsets used by the forward/backward passes.
-	tokEmb, posEmb                 int
-	lnF                            int
-	blocks                         []blockOffsets
-	hidden, heads, vocab, seq, ffn int
+	tokEmb, posEmb int
+	lnF            int
+	blocks         []blockOffsets
+
+	// The tensor-parallel shard every block holds: its attention heads
+	// and its FFN columns (all of them when unsharded).
+	heads, ffn comm.Range
+	hidden, dh int
 }
 
 type blockOffsets struct {
@@ -72,13 +80,30 @@ type blockOffsets struct {
 // matching the temporal order parameters are needed in the forward pass,
 // which is what ZeRO stage 3's pipelined all-gather schedule exploits
 // (§7.2.2).
-func BuildLayout(c Config) Layout {
+func BuildLayout(c Config) Layout { return buildLayout(c, 0, 1) }
+
+// buildLayout is the address map of tensor-parallel rank `rank` of `size`:
+// Megatron's split (§10.1), where the rank owns heads
+// comm.Partition(Heads, size)[rank] and FFN columns
+// comm.Partition(4h, size)[rank]. wqkv/bqkv (their [Q|K|V] columns) and w1/b1
+// hold the owned columns, wproj and w2 the owned rows; embeddings,
+// layernorms and the bproj/b2 biases are replicated.
+func buildLayout(c Config, rank, size int) Layout {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
+	if size > c.Heads {
+		panic(fmt.Sprintf("model: %d tensor-parallel ranks for %d heads leaves a rank without heads", size, c.Heads))
+	}
 	h := c.Hidden
-	ffn := 4 * h
-	l := Layout{hidden: h, heads: c.Heads, vocab: c.Vocab, seq: c.Seq, ffn: ffn}
+	l := Layout{
+		heads:  comm.Partition(c.Heads, size)[rank],
+		ffn:    comm.Partition(4*h, size)[rank],
+		hidden: h,
+		dh:     h / c.Heads,
+	}
+	hw := l.heads.Len() * l.dh
+	ffn := l.ffn.Len()
 	off := 0
 	add := func(name string, layer, n int) int {
 		lo := off
@@ -93,9 +118,9 @@ func BuildLayout(c Config) Layout {
 		b := &l.blocks[i]
 		b.ln1Gamma = add(fmt.Sprintf("block%d.ln1.gamma", i), i, h)
 		b.ln1Beta = add(fmt.Sprintf("block%d.ln1.beta", i), i, h)
-		b.wQKV = add(fmt.Sprintf("block%d.attn.wqkv", i), i, h*3*h)
-		b.bQKV = add(fmt.Sprintf("block%d.attn.bqkv", i), i, 3*h)
-		b.wProj = add(fmt.Sprintf("block%d.attn.wproj", i), i, h*h)
+		b.wQKV = add(fmt.Sprintf("block%d.attn.wqkv", i), i, h*3*hw)
+		b.bQKV = add(fmt.Sprintf("block%d.attn.bqkv", i), i, 3*hw)
+		b.wProj = add(fmt.Sprintf("block%d.attn.wproj", i), i, hw*h)
 		b.bProj = add(fmt.Sprintf("block%d.attn.bproj", i), i, h)
 		b.ln2Gamma = add(fmt.Sprintf("block%d.ln2.gamma", i), i, h)
 		b.ln2Beta = add(fmt.Sprintf("block%d.ln2.beta", i), i, h)
@@ -108,6 +133,40 @@ func BuildLayout(c Config) Layout {
 	add("ln_f.beta", -1, h)
 	l.Total = off
 	return l
+}
+
+// shardRuns calls f for each contiguous run of segment s the layout's shard
+// holds: n elements at offset full in the unsharded segment and at offset
+// local in the shard's. A replicated segment is one whole run.
+func (l Layout) shardRuns(s Segment, f func(full, local, n int)) {
+	h := l.hidden
+	q := comm.Range{Lo: l.heads.Lo * l.dh, Hi: l.heads.Hi * l.dh}
+	qkv := []comm.Range{q, {Lo: h + q.Lo, Hi: h + q.Hi}, {Lo: 2*h + q.Lo, Hi: 2*h + q.Hi}}
+	cols := func(rows, width int, rs ...comm.Range) {
+		local := 0
+		for r := 0; r < rows; r++ {
+			for _, c := range rs {
+				f(r*width+c.Lo, local, c.Len())
+				local += c.Len()
+			}
+		}
+	}
+	switch {
+	case hasSuffix(s.Name, ".wqkv"):
+		cols(h, 3*h, qkv...)
+	case hasSuffix(s.Name, ".bqkv"):
+		cols(1, 3*h, qkv...)
+	case hasSuffix(s.Name, ".wproj"):
+		cols(1, h*h, comm.Range{Lo: q.Lo * h, Hi: q.Hi * h})
+	case hasSuffix(s.Name, ".w1"):
+		cols(h, 4*h, l.ffn)
+	case hasSuffix(s.Name, ".b1"):
+		cols(1, 4*h, l.ffn)
+	case hasSuffix(s.Name, ".w2"):
+		cols(1, 4*h*h, comm.Range{Lo: l.ffn.Lo * h, Hi: l.ffn.Hi * h})
+	default:
+		f(0, 0, s.Len())
+	}
 }
 
 // ParamCount returns the total number of parameters for the configuration:

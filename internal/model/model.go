@@ -76,6 +76,9 @@ type Model struct {
 	// Zero means 1.
 	LossScale float32
 
+	// mp is the tensor-parallel group of a NewShard model, nil unsharded.
+	mp Reducer
+
 	// st is the operand storage, f32 or binary16 (fp16.go); Loss and
 	// Backward are written once against it.
 	st storage
@@ -89,20 +92,24 @@ type Model struct {
 
 // New creates a model with Gaussian-initialized weights (std 0.02, GPT-2
 // style; residual projections scaled by 1/√(2L)) and unit layernorm gains.
-func New(cfg Config, seed int64) *Model {
-	layout := BuildLayout(cfg)
-	m := &Model{
-		Cfg:    cfg,
-		Layout: layout,
-		Params: make([]float32, layout.Total),
-		Grads:  make([]float32, layout.Total),
-	}
-	m.st = f32Storage{m}
+func New(cfg Config, seed int64) *Model { return NewShard(cfg, seed, nil) }
+
+// NewShard creates rank g.Rank()'s tensor-parallel shard of New(cfg, seed)
+// (Megatron's split, §10.1; see buildLayout): the full parameters are
+// initialized exactly as New does and sliced, so every group size computes
+// the same function and a nil or size-1 group is New. Loss and Backward are
+// then collective over g: each block all-reduces its two row-parallel
+// products forward and its two column-parallel input gradients backward.
+// Every rank must feed the same batch; replicated gradients come out
+// identical on every rank.
+func NewShard(cfg Config, seed int64, g Reducer) *Model {
+	full := BuildLayout(cfg)
+	params := make([]float32, full.Total)
 	r := rand.New(rand.NewSource(seed))
 	const std = 0.02
 	residStd := std / float32(math.Sqrt(2*float64(cfg.Layers)))
-	for _, seg := range layout.Segments {
-		p := m.Params[seg.Lo:seg.Hi]
+	for _, seg := range full.Segments {
+		p := params[seg.Lo:seg.Hi]
 		switch {
 		case hasSuffix(seg.Name, ".gamma"):
 			tensor.Fill(p, 1)
@@ -117,6 +124,28 @@ func New(cfg Config, seed int64) *Model {
 			}
 		}
 	}
+	layout := full
+	if g != nil && g.Size() > 1 {
+		layout = buildLayout(cfg, g.Rank(), g.Size())
+		shard := make([]float32, layout.Total)
+		for i, seg := range layout.Segments {
+			lo := full.Segments[i].Lo
+			layout.shardRuns(seg, func(f, l, n int) {
+				copy(shard[seg.Lo+l:seg.Lo+l+n], params[lo+f:lo+f+n])
+			})
+		}
+		params = shard
+	} else {
+		g = nil
+	}
+	m := &Model{
+		Cfg:    cfg,
+		Layout: layout,
+		Params: params,
+		Grads:  make([]float32, layout.Total),
+		mp:     g,
+	}
+	m.st = f32Storage{m}
 	return m
 }
 
@@ -303,6 +332,23 @@ func (m *Model) Backward() {
 }
 
 const lnEps = 1e-5
+
+// Reducer is the model-parallel group a NewShard model all-reduces over;
+// *comm.Comm implements it, as the whole world or a Comm.Split/MPGroup
+// slice of an MP × DP grid.
+type Reducer interface {
+	AllReduce(x []float32)
+	Rank() int
+	Size() int
+}
+
+// allReduce sums a shard's partial products over the tensor-parallel group
+// (Megatron's "g" forward, "f" backward); a no-op unsharded.
+func (m *Model) allReduce(x []float32) {
+	if m.mp != nil {
+		m.mp.AllReduce(x)
+	}
+}
 
 // CheckpointStore abstracts where activation checkpoints live between the
 // forward and backward passes. Put is called once per block during forward

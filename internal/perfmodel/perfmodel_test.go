@@ -156,6 +156,18 @@ func TestPaOverheadUnderTenPercent(t *testing.T) {
 	}
 }
 
+// §8's headline inequality: Pa's extra all-gather traffic is under one
+// tenth of the Megatron block traffic, for any shape.
+func TestPaOverheadRatio(t *testing.T) {
+	for _, shape := range [][3]int{{16, 1024, 8192}, {2, 512, 1024}, {64, 2048, 16384}} {
+		mpVol := BlockAllReduceElems(shape[0], shape[1], shape[2])
+		paVol := PaOverheadElems(shape[0], shape[1], shape[2])
+		if ratio := float64(paVol) / float64(mpVol); ratio > 0.1 {
+			t.Errorf("shape %v: Pa overhead ratio %.3f, want ≤ 0.1", shape, ratio)
+		}
+	}
+}
+
 // Pa+cpu adds exposed PCIe time at small batch but the step must remain
 // finite and the offload cost bounded.
 func TestPaCPUCost(t *testing.T) {

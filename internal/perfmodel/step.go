@@ -118,6 +118,23 @@ const (
 // fp16Bytes is the wire width of gradients, parameters and activations.
 const fp16Bytes = 2
 
+// BlockAllReduceElems is §8's communication accounting for one Megatron
+// transformer block trained with activation recomputation: six all-reduces
+// (two forward, two recompute, two backward) of batch×seq×hidden elements
+// each, at 2× message-size volume per all-reduce — 12 × batch × seq ×
+// hidden elements on the wire per block. A ring moves (N-1)/N of it per
+// rank.
+func BlockAllReduceElems(batch, seq, hidden int) int64 {
+	return 12 * int64(batch) * int64(seq) * int64(hidden)
+}
+
+// PaOverheadElems is the traffic ZeRO-R's Pa adds per block: one all-gather
+// of the block's input checkpoint, volume equal to the message size (§8) —
+// batch×seq×hidden elements, 1/12 of BlockAllReduceElems.
+func PaOverheadElems(batch, seq, hidden int) int64 {
+	return int64(batch) * int64(seq) * int64(hidden)
+}
+
 // Estimate models one training step of cfg on hw.
 func Estimate(hw Hardware, cfg Config) Breakdown {
 	if cfg.MP < 1 || cfg.DP < 1 || cfg.MicroBatch < 1 {
@@ -130,16 +147,13 @@ func Estimate(hw Hardware, cfg Config) Breakdown {
 	eff := hw.Efficiency(cfg.Shape.Hidden, cfg.MP, cfg.MicroBatch, cfg.Shape.Seq)
 	b.ComputeSec = b.FlopsPerGPU / (hw.PeakFlopsPerGPU * eff)
 
-	// Megatron MP traffic: 12·B·s·h elements per transformer block (§8),
-	// all on the critical path between dependent layers.
+	// Megatron MP traffic per transformer block (§8), all on the critical
+	// path between dependent layers.
 	if cfg.MP > 1 {
-		perBlockElems := 12 * float64(cfg.MicroBatch) * float64(cfg.Shape.Seq) * float64(cfg.Shape.Hidden)
-		mpBytes := perBlockElems * float64(cfg.Shape.Layers) * fp16Bytes
+		mb, seq, h := cfg.MicroBatch, cfg.Shape.Seq, cfg.Shape.Hidden
+		mpBytes := float64(BlockAllReduceElems(mb, seq, h)) * float64(cfg.Shape.Layers) * fp16Bytes
 		if cfg.ZeRO.Pa {
-			// One extra all-gather per block of the partitioned checkpoint:
-			// B·s·h elements, i.e. <10% of the 12·B·s·h baseline (§8).
-			mpBytes += float64(cfg.MicroBatch) * float64(cfg.Shape.Seq) * float64(cfg.Shape.Hidden) *
-				float64(cfg.Shape.Layers) * fp16Bytes
+			mpBytes += float64(PaOverheadElems(mb, seq, h)) * float64(cfg.Shape.Layers) * fp16Bytes
 		}
 		b.MPCommSec = mpBytes / hw.MPBandwidth(cfg.MP)
 	}

@@ -333,6 +333,32 @@ func TestServeSaturationFIFO(t *testing.T) {
 	}
 }
 
+// A submit body is bounded at maxSpecBytes: one byte over is 413, never a
+// truncated prefix. The over-limit body here is a valid spec padded with
+// whitespace, so a silently truncated read would have accepted it.
+func TestServeOversizedSpecIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxWorlds: 1})
+	spec := specJSON(1, 1)
+	for _, tc := range []struct {
+		size int
+		want int
+	}{
+		{maxSpecBytes, http.StatusCreated},
+		{maxSpecBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		body := spec + strings.Repeat(" ", tc.size-len(spec))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d (body %s)", tc.size, resp.StatusCode, tc.want, blob)
+		}
+	}
+}
+
 // Invalid submissions map to 400 with the engine's sentinel text; bad
 // routes and states map to 404/409.
 func TestServeValidationAndErrorMapping(t *testing.T) {

@@ -74,10 +74,13 @@ func (s *Server) Config() Config { return s.cfg }
 func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 
 // statusFor maps an error to its HTTP status: invalid configs and specs
-// are the client's fault (400), backpressure is 429, draining 503,
-// unknown ids 404, state conflicts 409.
+// are the client's fault (400, or 413 for an oversized body), backpressure
+// is 429, draining 503, unknown ids 404, state conflicts 409.
 func statusFor(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrUnknownJob):
 		return http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
@@ -117,9 +120,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readAll(r, maxSpecBytes)
+	body, err := readAll(w, r, maxSpecBytes)
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrSpec, err))
+		writeError(w, fmt.Errorf("%w: %w", ErrSpec, err))
 		return
 	}
 	spec, err := ParseSpec(body)
@@ -248,8 +251,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Write(blob) //nolint:errcheck // client gone; nothing to do
 }
 
-// readAll slurps a bounded request body.
-func readAll(r *http.Request, limit int64) ([]byte, error) {
+// readAll slurps a request body of at most limit bytes; a longer one fails
+// with *http.MaxBytesError rather than being cut to a prefix.
+func readAll(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	defer r.Body.Close()
-	return io.ReadAll(io.LimitReader(r.Body, limit))
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }

@@ -5,35 +5,32 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/model"
-	"repro/internal/mp"
+	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
-// These tests close the loop on §8 with the real Megatron-parallel model:
+// These tests close the loop on §8 with the real Megatron-parallel model
+// (model.NewShard over the MP group):
 // under activation checkpointing a transformer block's measured MP traffic
 // is exactly the 12·B·s·h of the paper's analysis (2 forward + 2 recompute
 // + 2 backward all-reduces), and ZeRO-R's Pa — partitioning the block
 // inputs across the MP group, which genuinely replicates them — adds
 // exactly one all-gather per block, i.e. 1/12 of that.
 
-const (
-	paVocab  = 17
-	paSeq    = 8
-	paLayers = 2
-	paHidden = 16
-	paHeads  = 4
-	paBatch  = 2
-)
+var paCfg = model.Config{Layers: 2, Hidden: 16, Heads: 4, Vocab: 17, Seq: 8}
 
-// stepGPT runs one forward+backward of the parallel GPT on an n-rank MP
-// group and returns the world for traffic inspection plus rank 0's grads.
-func stepGPT(n int, checkpoint, pa bool) (*comm.World, [][]float32, float64) {
-	ids, targets := model.SyntheticBatch(71, paBatch, paSeq, paVocab)
+const paBatch = 2
+
+// stepGPT runs one forward+backward of the MP-sharded model on an n-rank
+// MP group and returns the world for traffic inspection plus rank 0's
+// Grads and loss.
+func stepGPT(n int, checkpoint, pa bool) (*comm.World, []float32, float64) {
+	ids, targets := model.SyntheticBatch(71, paBatch, paCfg.Seq, paCfg.Vocab)
 	w := comm.NewWorld(n)
-	grads := make([][][]float32, n)
+	grads := make([][]float32, n)
 	losses := make([]float64, n)
 	w.Run(func(c *comm.Comm) {
-		m := mp.NewGPT(c, paLayers, paHidden, paHeads, paVocab, paSeq, 23)
+		m := model.NewShard(paCfg, 23, c)
 		m.Checkpoint = checkpoint
 		if pa {
 			st, closeSched := checkpointStream(c)
@@ -43,18 +40,13 @@ func stepGPT(n int, checkpoint, pa bool) (*comm.World, [][]float32, float64) {
 		m.ZeroGrads()
 		losses[c.Rank()] = m.Loss(ids, targets, paBatch)
 		m.Backward()
-		var cp [][]float32
-		for _, g := range m.ReplicatedGrads() {
-			cp = append(cp, append([]float32(nil), g...))
-		}
-		cp = append(cp, append([]float32(nil), m.ShardGrads()[0]...))
-		grads[c.Rank()] = cp
+		grads[c.Rank()] = m.Grads
 	})
 	return w, grads[0], losses[0]
 }
 
-// Checkpointed training of the parallel GPT is numerically identical to
-// vanilla (it recomputes the same floats), with or without Pa.
+// Checkpointed training of the MP-sharded model is numerically identical
+// to vanilla (it recomputes the same floats), with or without Pa.
 func TestGPTCheckpointAndPaAreNumericallyNeutral(t *testing.T) {
 	_, vanilla, lossV := stepGPT(4, false, false)
 	_, ckpt, lossC := stepGPT(4, true, false)
@@ -62,46 +54,42 @@ func TestGPTCheckpointAndPaAreNumericallyNeutral(t *testing.T) {
 	if lossV != lossC || lossV != lossP {
 		t.Fatalf("losses differ: vanilla %v ckpt %v pa %v", lossV, lossC, lossP)
 	}
-	for i := range vanilla {
-		if d := tensor.MaxDiff(vanilla[i], ckpt[i]); d != 0 {
-			t.Errorf("grad group %d: checkpointing changed gradients by %g", i, d)
-		}
-		if d := tensor.MaxDiff(vanilla[i], paGrads[i]); d != 0 {
-			t.Errorf("grad group %d: Pa changed gradients by %g", i, d)
-		}
+	if d := tensor.MaxDiff(vanilla, ckpt); d != 0 {
+		t.Errorf("checkpointing changed gradients by %g", d)
+	}
+	if d := tensor.MaxDiff(vanilla, paGrads); d != 0 {
+		t.Errorf("Pa changed gradients by %g", d)
 	}
 }
 
-// §8's block traffic identity, measured: without checkpointing a block
-// costs 4 all-reduces (8·M·h ring elements per rank); with recompute it is
-// 6 (12·M·h — the paper's 12 × batch × seq × hidden); Pa adds exactly one
-// all-gather of M·h per block on top, a 1/12 overhead.
+// §8's block traffic identity, measured exactly at MP=4: without
+// checkpointing a block costs 4 all-reduces of M·h (the forward "g" after
+// wproj and w2, the backward "f" for the attention and MLP inputs); with
+// recompute it is 6 — perfmodel.BlockAllReduceElems, the paper's 12 ×
+// batch × seq × hidden — and Pa adds exactly one all-gather of M·h per
+// block, perfmodel.PaOverheadElems. A ring moves (N-1)/N of each per rank,
+// and nothing else in the model communicates.
 func TestSection8TrafficIdentitiesMeasured(t *testing.T) {
 	const n = 4
-	m := paBatch * paSeq
-	ring := func(elems int) int64 { return int64(elems) * (n - 1) / n }
-	perBlockVanilla := 4 * 2 * ring(m*paHidden)
-	perBlockCkpt := 6 * 2 * ring(m*paHidden)
-	paExtra := ring(m * paHidden)
-
-	wV, _, _ := stepGPT(n, false, false)
-	wC, _, _ := stepGPT(n, true, false)
-	wP, _, _ := stepGPT(n, true, true)
-
-	vanilla := wV.Stats(0).ElemsSent
-	ckpt := wC.Stats(0).ElemsSent
-	pa := wP.Stats(0).ElemsSent
-
-	if got, want := ckpt-vanilla, int64(paLayers)*(perBlockCkpt-perBlockVanilla); got != want {
-		t.Errorf("recompute traffic = %d elems, want %d (2 extra all-reduces per block)", got, want)
-	}
-	if got, want := pa-ckpt, int64(paLayers)*paExtra; got != want {
-		t.Errorf("Pa overhead = %d elems, want %d (one all-gather per block)", got, want)
-	}
-	// The headline ratio: Pa overhead / checkpointed MP block traffic = 1/12.
-	ratio := float64(pa-ckpt) / float64(int64(paLayers)*perBlockCkpt)
-	if ratio <= 0 || ratio > 0.1 {
-		t.Errorf("Pa/MP traffic ratio %.4f, want ≤ 0.1 (§8: 'less than one tenth')", ratio)
+	ring := func(elems int64) int64 { return elems * (n - 1) / n }
+	block := perfmodel.BlockAllReduceElems(paBatch, paCfg.Seq, paCfg.Hidden)
+	layers := int64(paCfg.Layers)
+	for _, tc := range []struct {
+		name           string
+		checkpoint, pa bool
+		want           int64
+	}{
+		{"vanilla", false, false, layers * ring(block*4/6)},
+		{"checkpoint", true, false, layers * ring(block)},
+		{"checkpoint+Pa", true, true,
+			layers * (ring(block) + ring(perfmodel.PaOverheadElems(paBatch, paCfg.Seq, paCfg.Hidden)))},
+	} {
+		w, _, _ := stepGPT(n, tc.checkpoint, tc.pa)
+		for r := 0; r < n; r++ {
+			if got := w.Stats(r).ElemsSent; got != tc.want {
+				t.Errorf("%s: rank %d sent %d elems, want %d", tc.name, r, got, tc.want)
+			}
+		}
 	}
 }
 
@@ -109,18 +97,18 @@ func TestSection8TrafficIdentitiesMeasured(t *testing.T) {
 // every checkpoint.
 func TestPaShrinksCheckpointResidency(t *testing.T) {
 	const n = 4
-	ids, targets := model.SyntheticBatch(73, paBatch, paSeq, paVocab)
+	ids, targets := model.SyntheticBatch(73, paBatch, paCfg.Seq, paCfg.Vocab)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
 		st, closeSched := checkpointStream(c)
 		defer closeSched()
 		store := NewPartitionedStore(st, false)
-		m := mp.NewGPT(c, paLayers, paHidden, paHeads, paVocab, paSeq, 23)
+		m := model.NewShard(paCfg, 23, c)
 		m.Checkpoint = true
 		m.Store = store
 		m.ZeroGrads()
 		m.Loss(ids, targets, paBatch)
-		fullBytes := int64(paLayers * paBatch * paSeq * paHidden * 2)
+		fullBytes := int64(paCfg.Layers * paBatch * paCfg.Seq * paCfg.Hidden * 2)
 		if got := store.DeviceBytes(); got != fullBytes/n {
 			t.Errorf("rank %d: resident checkpoint bytes %d, want %d (1/%d of %d)",
 				c.Rank(), got, fullBytes/n, n, fullBytes)

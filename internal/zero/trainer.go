@@ -172,8 +172,7 @@ type Trainer struct {
 	Model *model.Model
 
 	// BucketElems, ClipNorm, Overlap, Prefetch and PrefetchDepth mirror
-	// the Options fields and may be mutated between steps (internal/ddp
-	// tunes them after New).
+	// the Options fields and may be mutated between steps.
 	BucketElems   int
 	ClipNorm      float64
 	Overlap       bool
@@ -240,8 +239,7 @@ type Trainer struct {
 // bucketPlan is the cached gradient communication schedule: the bucket
 // windows in reduction order, each with its ownership partition clipped to
 // the window, plus the submission indices per layer group for the
-// overlapped path. Rebuilt only when BucketElems changes (internal/ddp
-// tunes it between steps).
+// overlapped path. Rebuilt only when BucketElems changes between steps.
 type bucketPlan struct {
 	built       bool
 	bucketElems int

@@ -80,7 +80,7 @@ func TestStagesMatchDDPBitwise(t *testing.T) {
 }
 
 // Against single-process full-batch training the stages match within fp32
-// reduction rounding.
+// reduction rounding at every world size, and all ranks agree bitwise.
 func TestStagesMatchSingleProcess(t *testing.T) {
 	cfg := testConfig()
 	const steps, batch = 5, 4
@@ -93,11 +93,19 @@ func TestStagesMatchSingleProcess(t *testing.T) {
 		ref.Backward()
 		opt.Step(ref.Params, ref.Grads)
 	}
-	for _, stage := range AllStages {
-		got := runZeRO(t, cfg, stage, 4, steps,
-			Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
-		if d := tensor.MaxDiff(got[0], ref.Params); d > 2e-4 {
-			t.Errorf("%v vs single process: max diff %g", stage, d)
+	for _, n := range []int{1, 2, 4} {
+		for _, stage := range AllStages {
+			got := runZeRO(t, cfg, stage, n, steps,
+				Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+			if d := tensor.MaxDiff(got[0], ref.Params); d > 2e-4 {
+				t.Errorf("n=%d %v vs single process: max diff %g", n, stage, d)
+			}
+			// Every replica saw the same reduced gradients.
+			for r := 1; r < n; r++ {
+				if d := tensor.MaxDiff(got[r], got[0]); d != 0 {
+					t.Errorf("n=%d %v: rank %d diverged from rank 0 by %g", n, stage, r, d)
+				}
+			}
 		}
 	}
 }
@@ -108,11 +116,13 @@ func TestBucketedReduceScatterBitwise(t *testing.T) {
 	cfg := testConfig()
 	const batch = 4
 	ids, targets := model.SyntheticBatch(13, batch, cfg.Seq, cfg.Vocab)
-	unfused := runZeRO(t, cfg, StageOSG, 4, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
-	bucketed := runZeRO(t, cfg, StageOSG, 4, 3,
-		Options{LR: testLR, Seed: testSeed, BucketElems: 257}, ids, targets, batch)
-	if d := tensor.MaxDiff(unfused[0], bucketed[0]); d != 0 {
-		t.Errorf("bucketing changed the trajectory by %g", d)
+	for _, stage := range []Stage{StageDDP, StageOSG} {
+		unfused := runZeRO(t, cfg, stage, 4, 3, Options{LR: testLR, Seed: testSeed}, ids, targets, batch)
+		bucketed := runZeRO(t, cfg, stage, 4, 3,
+			Options{LR: testLR, Seed: testSeed, BucketElems: 257}, ids, targets, batch)
+		if d := tensor.MaxDiff(unfused[0], bucketed[0]); d != 0 {
+			t.Errorf("%v: bucketing changed the trajectory by %g", stage, d)
+		}
 	}
 }
 
@@ -269,14 +279,23 @@ func TestTrainerRejectsInvalidConfigs(t *testing.T) {
 
 // ModelStateBytes must follow the planner equation for the trainer's own
 // stage and world size.
+// Baseline DDP replicates the full 16Ψ (§3.1) on every rank.
 func TestTrainerModelStateAccounting(t *testing.T) {
 	cfg := testConfig()
-	w := comm.NewWorld(4)
-	w.Run(func(c *comm.Comm) {
-		tr := MustNew(c, cfg, Options{Stage: StageOSG, LR: testLR, Seed: 1})
-		want := int64(ModelStateBytes(int64(cfg.ParamCount()), StageOSG, 4))
-		if got := tr.ModelStateBytes(); got != want {
-			t.Errorf("ModelStateBytes = %d, want %d", got, want)
+	psi := int64(cfg.ParamCount())
+	for _, n := range []int{1, 4} {
+		for _, stage := range AllStages {
+			w := comm.NewWorld(n)
+			w.Run(func(c *comm.Comm) {
+				tr := MustNew(c, cfg, Options{Stage: stage, LR: testLR, Seed: 1})
+				want := int64(ModelStateBytes(psi, stage, n))
+				if stage == StageDDP && want != 16*psi {
+					t.Errorf("n=%d: planner gives DDP %d bytes, want 16Ψ = %d", n, want, 16*psi)
+				}
+				if got := tr.ModelStateBytes(); got != want {
+					t.Errorf("n=%d %v rank %d: ModelStateBytes = %d, want %d", n, stage, c.Rank(), got, want)
+				}
+			})
 		}
-	})
+	}
 }
