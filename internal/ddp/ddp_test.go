@@ -1,3 +1,7 @@
+// Package ddp holds the data-parallel baseline's contract tests: classic
+// PyTorch-DDP-style training, every rank replicating parameters, gradients
+// and the full Adam state, is zero.Trainer at zero.StageDDP (the degenerate
+// stage-0 case of the one code path). The package has no code of its own.
 package ddp
 
 import (
@@ -8,10 +12,35 @@ import (
 	"repro/internal/model"
 	"repro/internal/optimizer"
 	"repro/internal/tensor"
+	"repro/internal/zero"
 )
+
+// ddpBucketElems mirrors DDP's ~25MB gradient fusion buckets.
+const ddpBucketElems = 1 << 22
 
 func testConfig() model.Config {
 	return model.Config{Layers: 2, Hidden: 16, Heads: 2, Vocab: 19, Seq: 8}
+}
+
+// newDDP builds a rank's replicated-state trainer on an optional node
+// topology (nodeSize 0 is flat).
+func newDDP(c *comm.Comm, cfg model.Config, seed int64, lr float64, nodeSize int) (*zero.Trainer, error) {
+	return zero.New(c, cfg, zero.Options{
+		Stage:       zero.StageDDP,
+		LR:          lr,
+		Seed:        seed,
+		BucketElems: ddpBucketElems,
+		Topology:    zero.Topology{NodeSize: nodeSize},
+	})
+}
+
+// mustDDP is newDDP on a flat topology, which cannot fail for a valid cfg.
+func mustDDP(c *comm.Comm, cfg model.Config, seed int64, lr float64) *zero.Trainer {
+	tr, err := newDDP(c, cfg, seed, lr, 0)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // singleProcessReference trains the same model on the full batch in one
@@ -42,11 +71,12 @@ func TestDDPMatchesSingleProcess(t *testing.T) {
 		w := comm.NewWorld(n)
 		results := make([][]float32, n)
 		w.Run(func(c *comm.Comm) {
-			tr := New(c, cfg, 7, lr)
+			tr := mustDDP(c, cfg, 7, lr)
+			defer tr.Close()
 			for s := 0; s < steps; s++ {
 				tr.Step(ids, targets, batch)
 			}
-			results[c.Rank()] = tr.Model.Params
+			results[c.Rank()] = append([]float32(nil), tr.Model.Params...)
 		})
 		for r := 0; r < n; r++ {
 			if d := tensor.MaxDiff(results[r], want); d > 2e-4 {
@@ -73,14 +103,15 @@ func TestBucketingDoesNotChangeResult(t *testing.T) {
 		var out []float32
 		var mu sync.Mutex
 		w.Run(func(c *comm.Comm) {
-			tr := New(c, cfg, 11, 1e-3)
+			tr := mustDDP(c, cfg, 11, 1e-3)
+			defer tr.Close()
 			tr.BucketElems = bucket
 			for s := 0; s < 3; s++ {
 				tr.Step(ids, targets, 4)
 			}
 			if c.Rank() == 0 {
 				mu.Lock()
-				out = tr.Model.Params
+				out = append([]float32(nil), tr.Model.Params...)
 				mu.Unlock()
 			}
 		})
@@ -101,7 +132,8 @@ func TestDDPCommunicationVolume(t *testing.T) {
 	const n = 4
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		tr := New(c, cfg, 1, 1e-3)
+		tr := mustDDP(c, cfg, 1, 1e-3)
+		defer tr.Close()
 		tr.BucketElems = 0
 		tr.Step(ids, targets, 4)
 	})
@@ -120,7 +152,8 @@ func TestDDPModelStateBytes(t *testing.T) {
 	cfg := testConfig()
 	w := comm.NewWorld(1)
 	w.Run(func(c *comm.Comm) {
-		tr := New(c, cfg, 1, 1e-3)
+		tr := mustDDP(c, cfg, 1, 1e-3)
+		defer tr.Close()
 		want := int64(cfg.ParamCount()) * 16
 		if got := tr.ModelStateBytes(); got != want {
 			t.Errorf("ModelStateBytes = %d, want %d", got, want)
@@ -135,7 +168,8 @@ func TestDDPLearns(t *testing.T) {
 	w := comm.NewWorld(2)
 	losses := make([]float64, 2)
 	w.Run(func(c *comm.Comm) {
-		tr := New(c, cfg, 23, 5e-3)
+		tr := mustDDP(c, cfg, 23, 5e-3)
+		defer tr.Close()
 		var last float64
 		for s := 0; s < 25; s++ {
 			last = tr.Step(ids, targets, 4)
@@ -169,16 +203,17 @@ func TestDDPHierarchicalTopology(t *testing.T) {
 	w := comm.NewWorld(n)
 	results := make([][]float32, n)
 	w.Run(func(c *comm.Comm) {
-		tr, err := NewHierarchical(c, cfg, 7, lr, nodeSize)
+		tr, err := newDDP(c, cfg, 7, lr, nodeSize)
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		defer tr.Close()
 		tr.BucketElems = 0
 		for s := 0; s < steps; s++ {
 			tr.Step(ids, targets, batch)
 		}
-		results[c.Rank()] = tr.Model.Params
+		results[c.Rank()] = append([]float32(nil), tr.Model.Params...)
 	})
 	for r := 0; r < n; r++ {
 		if d := tensor.MaxDiff(results[r], want); d > 2e-4 {
@@ -209,8 +244,8 @@ func TestDDPHierarchicalTopology(t *testing.T) {
 		if c.Rank() != 0 {
 			return
 		}
-		if _, err := NewHierarchical(c, cfg, 7, lr, 3); err == nil {
-			t.Error("indivisible nodeSize must fail NewHierarchical")
+		if _, err := newDDP(c, cfg, 7, lr, 3); err == nil {
+			t.Error("indivisible nodeSize must fail zero.New")
 		}
 	})
 }

@@ -6,161 +6,190 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
-// runBlockOnWorld runs one forward+backward of a ParallelBlock on an
-// n-rank MP group over replicated input, returning rank 0's output, dx,
-// and the replicated layernorm gradients.
-func runBlockOnWorld(n, hidden, heads, batch, seq int, seed int64, x, dy []float32) (y, dx, dG1 []float32) {
-	w := comm.NewWorld(n)
-	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, seed)
-		out := blk.Forward(x, batch, seq)
-		din := blk.Backward(dy)
+// blockConfig is a one-block model: the replicated embeddings feed the
+// block's input and receive its input gradient (dx).
+func blockConfig() model.Config {
+	return model.Config{Layers: 1, Hidden: 16, Heads: 4, Vocab: 13, Seq: 6}
+}
+
+// blockResult is what one forward+backward of a one-block shard leaves on
+// MP rank 0: the loss (a function of the block output), the block input
+// gradient as it lands in the position embeddings, and the replicated
+// layernorm gradients.
+type blockResult struct {
+	loss       float64
+	dx, dGamma []float32
+}
+
+func runBlockOnWorld(n int, cfg model.Config, seed int64, ids, targets []int, batch int) blockResult {
+	var res blockResult
+	comm.NewWorld(n).Run(func(c *comm.Comm) {
+		m := model.NewShard(cfg, seed, c)
+		loss := step(m, ids, targets, batch)
 		if c.Rank() == 0 {
-			mu.Lock()
-			y = out
-			dx = din
-			dG1 = append([]float32(nil), blk.DGamma1...)
-			mu.Unlock()
+			res = blockResult{
+				loss:   loss,
+				dx:     append([]float32(nil), grads(m, "pos_emb")...),
+				dGamma: append([]float32(nil), grads(m, "block0.ln1.gamma")...),
+			}
 		}
 	})
-	return y, dx, dG1
+	return res
 }
 
 // The MP degree must be invisible: running the identical block on 1, 2 and
 // 4 ranks computes the same function and the same gradients (the MP=1 run
 // is the serial reference).
 func TestParallelBlockDegreeInvariance(t *testing.T) {
-	const hidden, heads, batch, seq = 16, 4, 2, 6
-	m := batch * seq
-	x := randInput(m, hidden, 21)
-	dy := randInput(m, hidden, 22)
+	cfg := blockConfig()
+	const batch = 2
+	ids, targets := model.SyntheticBatch(21, batch, cfg.Seq, cfg.Vocab)
 
-	refY, refDx, refDG1 := runBlockOnWorld(1, hidden, heads, batch, seq, 33, x, dy)
+	ref := runBlockOnWorld(1, cfg, 33, ids, targets, batch)
 	for _, n := range []int{2, 4} {
-		y, dx, dG1 := runBlockOnWorld(n, hidden, heads, batch, seq, 33, x, dy)
-		if d := tensor.MaxDiff(y, refY); d > 1e-4 {
-			t.Errorf("n=%d: forward differs from serial by %g", n, d)
+		got := runBlockOnWorld(n, cfg, 33, ids, targets, batch)
+		if d := math.Abs(got.loss - ref.loss); d > 1e-5 {
+			t.Errorf("n=%d: forward loss differs from serial by %g", n, d)
 		}
-		if d := tensor.MaxDiff(dx, refDx); d > 1e-4 {
+		if d := tensor.MaxDiff(got.dx, ref.dx); d > 1e-5 {
 			t.Errorf("n=%d: dx differs from serial by %g", n, d)
 		}
-		if d := tensor.MaxDiff(dG1, refDG1); d > 1e-4 {
+		if d := tensor.MaxDiff(got.dGamma, ref.dGamma); d > 1e-5 {
 			t.Errorf("n=%d: layernorm grads differ from serial by %g", n, d)
 		}
 	}
 }
 
-// Gradient check of the serial (MP=1) block: validates the attention
-// backward math against finite differences through a scalar functional.
+// gradCheck compares rank c's analytic gradient of tensor `name` at its
+// local offset i against a central difference of the collective loss. The
+// perturbation is applied on rank `owner` only — one logical parameter of a
+// sharded tensor — or on every rank when owner < 0 (a replicated tensor,
+// which every rank must perturb alike). Every rank must call it.
+func gradCheck(t *testing.T, c *comm.Comm, m *model.Model, analytic []float32,
+	ids, targets []int, batch int, name string, owner, i int) {
+	s := segment(m, name)
+	mine := owner < 0 || owner == c.Rank()
+	loss := func(delta float32) float64 {
+		orig := m.Params[s.Lo+i]
+		if mine {
+			m.Params[s.Lo+i] = orig + delta
+		}
+		l := m.Loss(ids, targets, batch)
+		m.Params[s.Lo+i] = orig
+		return l
+	}
+	// A wide step keeps float32 rounding of the loss out of the quotient.
+	const eps = 1e-2
+	numeric := (loss(eps) - loss(-eps)) / (2 * eps)
+	if !mine || (owner < 0 && c.Rank() != 0) {
+		return
+	}
+	got := float64(analytic[s.Lo+i])
+	tol := 2e-2*math.Max(math.Abs(numeric), math.Abs(got)) + 2e-4
+	if math.Abs(got-numeric) > tol {
+		t.Errorf("rank %d %s grad[%d]: analytic %.6f numeric %.6f", c.Rank(), name, i, got, numeric)
+	}
+}
+
+// Gradient check of the sharded block at MP=3 over 3 heads: every
+// column- and row-parallel tensor is probed on every owning rank against
+// finite differences of the collective loss, plus a replicated layernorm.
 func TestParallelBlockGradientCheck(t *testing.T) {
-	const hidden, heads, batch, seq = 8, 2, 1, 4
-	m := batch * seq
-	x := randInput(m, hidden, 31)
-	wvec := randInput(m, hidden, 32)
-
-	w := comm.NewWorld(1)
-	w.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, 44)
-		loss := func() float64 {
-			y := blk.Forward(x, batch, seq)
-			return tensor.Dot(y, wvec)
-		}
-		_ = loss()
-		dx := blk.Backward(wvec)
-
-		const eps = 1e-3
-		for _, i := range []int{0, m * hidden / 2, m*hidden - 1} {
-			orig := x[i]
-			x[i] = orig + eps
-			lp := loss()
-			x[i] = orig - eps
-			lm := loss()
-			x[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if diff := math.Abs(float64(dx[i]) - numeric); diff > 2e-2 {
-				t.Errorf("dx[%d]: analytic %v numeric %v", i, dx[i], numeric)
+	cfg := model.Config{Layers: 1, Hidden: 12, Heads: 3, Vocab: 11, Seq: 4}
+	const n, batch = 3, 2
+	ids, targets := model.SyntheticBatch(31, batch, cfg.Seq, cfg.Vocab)
+	comm.NewWorld(n).Run(func(c *comm.Comm) {
+		m := model.NewShard(cfg, 44, c)
+		step(m, ids, targets, batch)
+		analytic := append([]float32(nil), m.Grads...)
+		for _, name := range []string{"attn.wqkv", "attn.bqkv", "attn.wproj", "mlp.w1", "mlp.b1", "mlp.w2"} {
+			name = "block0." + name
+			for owner := 0; owner < n; owner++ {
+				s := segment(m, name)
+				for _, i := range []int{0, s.Len() / 2, s.Len() - 1} {
+					gradCheck(t, c, m, analytic, ids, targets, batch, name, owner, i)
+				}
 			}
 		}
-		// A weight probe in each shard type.
-		probes := []struct {
-			name string
-			w, g []float32
-		}{
-			{"attn.wqkv", blk.Attn.WQKV, blk.Attn.DWQKV},
-			{"attn.wproj", blk.Attn.WProj, blk.Attn.DWProj},
-			{"ln1.gamma", blk.Gamma1, blk.DGamma1},
-			{"mlp.fc1", blk.MLP.FC1.W, blk.MLP.FC1.DW},
-		}
-		for _, p := range probes {
-			i := len(p.w) / 2
-			orig := p.w[i]
-			p.w[i] = orig + eps
-			lp := loss()
-			p.w[i] = orig - eps
-			lm := loss()
-			p.w[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			if diff := math.Abs(float64(p.g[i]) - numeric); diff > 3e-2 {
-				t.Errorf("%s grad[%d]: analytic %v numeric %v", p.name, i, p.g[i], numeric)
-			}
-		}
+		s := segment(m, "block0.ln1.gamma")
+		gradCheck(t, c, m, analytic, ids, targets, batch, s.Name, -1, s.Len()/2)
 	})
 }
 
-// Head sharding: each rank stores ~1/Nm of the attention weights.
+// Head sharding: each rank stores 1/N of the attention weights — its
+// heads' Q, K and V columns of WQKV/bQKV and their rows of WProj.
 func TestAttentionWeightSharding(t *testing.T) {
-	const hidden, heads = 32, 8
+	cfg := model.Config{Layers: 1, Hidden: 32, Heads: 8, Vocab: 11, Seq: 4}
+	h := cfg.Hidden
 	for _, n := range []int{2, 4} {
-		w := comm.NewWorld(n)
 		var mu sync.Mutex
-		w.Run(func(c *comm.Comm) {
-			a := NewParallelAttention(c, hidden, heads, 1)
+		comm.NewWorld(n).Run(func(c *comm.Comm) {
+			m := model.NewShard(cfg, 1, c)
 			mu.Lock()
 			defer mu.Unlock()
-			if got, want := len(a.WQKV), hidden*3*hidden/n; got != want {
-				t.Errorf("n=%d rank %d: WQKV shard %d, want %d", n, c.Rank(), got, want)
-			}
-			if got, want := len(a.WProj), hidden*hidden/n; got != want {
-				t.Errorf("n=%d rank %d: WProj shard %d, want %d", n, c.Rank(), got, want)
+			for _, want := range []struct {
+				name string
+				n    int
+			}{
+				{"block0.attn.wqkv", h * 3 * h / n},
+				{"block0.attn.bqkv", 3 * h / n},
+				{"block0.attn.wproj", h * h / n},
+				{"block0.attn.bproj", h},
+			} {
+				if got := segment(m, want.name).Len(); got != want.n {
+					t.Errorf("n=%d rank %d: %s shard %d, want %d", n, c.Rank(), want.name, got, want.n)
+				}
 			}
 		})
 	}
 }
 
-// The block performs exactly 2 forward + 2 backward all-reduces of
-// batch·seq·hidden elements — the §8 accounting (without recompute).
-func TestBlockAllReduceCount(t *testing.T) {
-	const n, hidden, heads, batch, seq = 4, 16, 4, 2, 8
-	m := batch * seq
-	x := randInput(m, hidden, 3)
-	dy := randInput(m, hidden, 4)
-	w := comm.NewWorld(n)
-	w.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, 5)
-		blk.Forward(x, batch, seq)
-		blk.Backward(dy)
-	})
-	// 4 all-reduces × 2·M·h·(N-1)/N per rank.
-	want := int64(4 * 2 * m * hidden * (n - 1) / n)
-	for r := 0; r < n; r++ {
-		if got := w.Stats(r).ElemsSent; got != want {
-			t.Errorf("rank %d sent %d elems, want %d (4 all-reduces of M·h)", r, got, want)
-		}
-	}
+// countingGroup records the length of every all-reduce the model issues.
+type countingGroup struct {
+	*comm.Comm
+	calls []int
 }
 
-func TestAttentionValidation(t *testing.T) {
-	w := comm.NewWorld(2)
-	w.Run(func(c *comm.Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic: heads not divisible by MP degree")
+func (g *countingGroup) AllReduce(x []float32) {
+	g.calls = append(g.calls, len(x))
+	g.Comm.AllReduce(x)
+}
+
+// The block performs exactly 2 forward + 2 backward all-reduces of
+// batch·seq·hidden elements — the §8 accounting without recompute — and 2
+// more in backward under activation checkpointing (the recomputed forward).
+func TestBlockAllReduceCount(t *testing.T) {
+	cfg := model.Config{Layers: 2, Hidden: 16, Heads: 4, Vocab: 11, Seq: 8}
+	const n, batch = 4, 2
+	ids, targets := model.SyntheticBatch(3, batch, cfg.Seq, cfg.Vocab)
+	msg := batch * cfg.Seq * cfg.Hidden
+	for _, ckpt := range []bool{false, true} {
+		wantBwd := 2
+		if ckpt {
+			wantBwd = 4
+		}
+		comm.NewWorld(n).Run(func(c *comm.Comm) {
+			g := &countingGroup{Comm: c}
+			m := model.NewShard(cfg, 5, g)
+			m.Checkpoint = ckpt
+			m.ZeroGrads()
+			m.Loss(ids, targets, batch)
+			fwd := len(g.calls)
+			m.Backward()
+			bwd := len(g.calls) - fwd
+			if fwd != 2*cfg.Layers || bwd != wantBwd*cfg.Layers {
+				t.Errorf("ckpt=%v rank %d: %d forward + %d backward all-reduces, want %d + %d",
+					ckpt, c.Rank(), fwd, bwd, 2*cfg.Layers, wantBwd*cfg.Layers)
 			}
-		}()
-		NewParallelAttention(c, 16, 3, 1)
-	})
+			for i, l := range g.calls {
+				if l != msg {
+					t.Errorf("ckpt=%v rank %d: all-reduce %d of %d elems, want M·h = %d", ckpt, c.Rank(), i, l, msg)
+				}
+			}
+		})
+	}
 }

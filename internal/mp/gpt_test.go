@@ -12,26 +12,32 @@ import (
 
 const gptVocab, gptSeq = 19, 8
 
-func runGPT(n, layers, hidden, heads int, seed int64, ids, targets []int,
+func gptConfig(layers, hidden, heads int) model.Config {
+	return model.Config{Layers: layers, Hidden: hidden, Heads: heads, Vocab: gptVocab, Seq: gptSeq}
+}
+
+// sgd is one plain SGD update of a shard's flat buffer.
+func sgd(m *model.Model, lr float32) { tensor.AXPY(-lr, m.Grads, m.Params) }
+
+// runGPT trains the full model sharded over an n-rank MP group and returns
+// every rank's final loss and rank 0's (replicated) token embedding.
+func runGPT(n int, cfg model.Config, seed int64, ids, targets []int,
 	batch, steps int, lr float32) (loss []float64, tokEmb []float32) {
-	w := comm.NewWorld(n)
 	losses := make([]float64, n)
 	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, seed)
+	comm.NewWorld(n).Run(func(c *comm.Comm) {
+		m := model.NewShard(cfg, seed, c)
 		var l float64
 		for s := 0; s < steps; s++ {
-			m.ZeroGrads()
-			l = m.Loss(ids, targets, batch)
-			m.Backward()
-			m.SGDStep(lr)
+			l = step(m, ids, targets, batch)
+			sgd(m, lr)
 		}
 		mu.Lock()
+		defer mu.Unlock()
 		losses[c.Rank()] = l
 		if c.Rank() == 0 {
-			tokEmb = append([]float32(nil), m.TokEmb...)
+			tokEmb = append([]float32(nil), params(m, "tok_emb")...)
 		}
-		mu.Unlock()
 	})
 	return losses, tokEmb
 }
@@ -40,12 +46,13 @@ func runGPT(n, layers, hidden, heads int, seed int64, ids, targets []int,
 // parameter trajectory are independent of how many ranks the blocks are
 // sharded over (MP=1 is the serial reference).
 func TestGPTDegreeInvariance(t *testing.T) {
-	const layers, hidden, heads, batch, steps = 2, 16, 4, 2, 3
+	cfg := gptConfig(2, 16, 4)
+	const batch, steps = 2, 3
 	ids, targets := model.SyntheticBatch(41, batch, gptSeq, gptVocab)
 
-	refLoss, refEmb := runGPT(1, layers, hidden, heads, 9, ids, targets, batch, steps, 0.01)
+	refLoss, refEmb := runGPT(1, cfg, 9, ids, targets, batch, steps, 0.01)
 	for _, n := range []int{2, 4} {
-		loss, emb := runGPT(n, layers, hidden, heads, 9, ids, targets, batch, steps, 0.01)
+		loss, emb := runGPT(n, cfg, 9, ids, targets, batch, steps, 0.01)
 		for r := 0; r < n; r++ {
 			if math.Abs(loss[r]-refLoss[0]) > 1e-4 {
 				t.Errorf("n=%d rank %d: loss %v != serial %v", n, r, loss[r], refLoss[0])
@@ -57,153 +64,74 @@ func TestGPTDegreeInvariance(t *testing.T) {
 	}
 }
 
-// Replicated gradients (embeddings, layernorms) must come out bitwise
-// identical on every MP rank without any synchronization: the "g"
-// all-reduces keep the sub-layer outputs replicated, so the backward flows
-// are identical.
+// Replicated gradients (embeddings, layernorms, the row-parallel biases)
+// must come out bitwise identical on every MP rank without any
+// synchronization: the "g" all-reduces keep the sub-layer outputs
+// replicated, so the backward flows are identical.
 func TestGPTReplicatedGradsAgreeAcrossRanks(t *testing.T) {
-	const n, layers, hidden, heads, batch = 4, 2, 16, 4, 2
+	cfg := gptConfig(2, 16, 4)
+	const n, batch = 4, 2
 	ids, targets := model.SyntheticBatch(43, batch, gptSeq, gptVocab)
-	w := comm.NewWorld(n)
-	grads := make([][][]float32, n)
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 7)
-		m.ZeroGrads()
-		m.Loss(ids, targets, batch)
-		m.Backward()
-		var cp [][]float32
-		for _, g := range m.ReplicatedGrads() {
-			cp = append(cp, append([]float32(nil), g...))
+	grads := make([]map[string][]float32, n)
+	comm.NewWorld(n).Run(func(c *comm.Comm) {
+		m := model.NewShard(cfg, 7, c)
+		step(m, ids, targets, batch)
+		rep := map[string][]float32{}
+		for _, s := range m.Layout.Segments {
+			if !isSharded(s.Name) {
+				rep[s.Name] = append([]float32(nil), m.Grads[s.Lo:s.Hi]...)
+			}
 		}
-		grads[c.Rank()] = cp
+		grads[c.Rank()] = rep
 	})
+	if len(grads[0]) != 4+6*cfg.Layers {
+		t.Fatalf("%d replicated tensors, want %d", len(grads[0]), 4+6*cfg.Layers)
+	}
 	for r := 1; r < n; r++ {
-		for i := range grads[0] {
-			if d := tensor.MaxDiff(grads[r][i], grads[0][i]); d != 0 {
-				t.Fatalf("replicated grad %d differs between ranks 0 and %d by %g", i, r, d)
+		for name, g := range grads[0] {
+			if d := tensor.MaxDiff(grads[r][name], g); d != 0 {
+				t.Errorf("replicated grad %s differs between ranks 0 and %d by %g", name, r, d)
 			}
 		}
 	}
 }
 
-// Full-model gradient check at MP=2: finite differences through the
-// sharded and replicated parameters.
+// Full-model gradient check at MP=2: finite differences of the collective
+// loss through every replicated tensor (perturbed alike on both ranks), and
+// through one element of each sharded tensor of the last block on each
+// owning rank.
 func TestGPTGradientCheck(t *testing.T) {
-	const n, layers, hidden, heads, batch = 2, 1, 8, 2, 1
+	cfg := gptConfig(2, 8, 2)
+	const n, batch = 2, 1
 	ids, targets := model.SyntheticBatch(47, batch, gptSeq, gptVocab)
-	w := comm.NewWorld(n)
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 13)
-		m.ZeroGrads()
-		m.Loss(ids, targets, batch)
-		m.Backward()
-		params, grads := m.paramGrads()
-		const eps = 1e-3
-		for pi := range params {
-			i := len(params[pi]) / 2
-			analytic := float64(grads[pi][i])
-			orig := params[pi][i]
-			params[pi][i] = orig + eps
-			lp := m.Loss(ids, targets, batch)
-			params[pi][i] = orig - eps
-			lm := m.Loss(ids, targets, batch)
-			params[pi][i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			// NOTE: Loss is collective — all ranks perturb their own copy,
-			// which for sharded tensors perturbs different logical
-			// parameters. Restrict the check to replicated tensors (the
-			// first 4 + per-block layernorms at indices 4..7 per block).
-			isReplicated := pi < 4 || (pi >= 4 && (pi-4)%12 < 4)
-			if !isReplicated {
-				continue
-			}
-			if math.Abs(analytic-numeric) > 2e-2*math.Max(1, math.Abs(numeric)) {
-				t.Errorf("param group %d grad[%d]: analytic %v numeric %v", pi, i, analytic, numeric)
+	comm.NewWorld(n).Run(func(c *comm.Comm) {
+		m := model.NewShard(cfg, 13, c)
+		step(m, ids, targets, batch)
+		analytic := append([]float32(nil), m.Grads...)
+		for _, s := range m.Layout.Segments {
+			switch {
+			case !isSharded(s.Name):
+				gradCheck(t, c, m, analytic, ids, targets, batch, s.Name, -1, s.Len()/2)
+			case s.Layer == cfg.Layers-1:
+				for owner := 0; owner < n; owner++ {
+					gradCheck(t, c, m, analytic, ids, targets, batch, s.Name, owner, s.Len()/2)
+				}
 			}
 		}
 	})
-}
-
-// The flagship integration: ZeRO-style data parallelism ACROSS nodes with
-// Megatron MP INSIDE — a 2 MP × 2 DP grid training the full GPT, verified
-// against the same model at MP=2, DP=1 on the full batch.
-func TestGPT2DTrainingMatchesSingleReplica(t *testing.T) {
-	const (
-		mpSize = 2
-		layers = 2
-		hidden = 16
-		heads  = 4
-		batch  = 4
-		steps  = 3
-		lr     = 0.01
-	)
-	ids, targets := model.SyntheticBatch(53, batch, gptSeq, gptVocab)
-
-	// Reference: one replica (MP=2), full batch.
-	refW := comm.NewWorld(mpSize)
-	var refEmb []float32
-	refW.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 17)
-		for s := 0; s < steps; s++ {
-			m.ZeroGrads()
-			m.Loss(ids, targets, batch)
-			m.Backward()
-			m.SGDStep(lr)
-		}
-		if c.Rank() == 0 {
-			refEmb = append([]float32(nil), m.TokEmb...)
-		}
-	})
-
-	// 2×2 grid: each replica trains on half the batch; gradients averaged
-	// across the DP groups before the step.
-	w := comm.NewWorld(mpSize * 2)
-	var gridEmb []float32
-	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
-		mpGroup := mustGroup(c.MPGroup(mpSize))
-		dpGroup := mustGroup(c.DPGroup(mpSize))
-		replica := c.Rank() / mpSize
-		m := NewGPT(mpGroup, layers, hidden, heads, gptVocab, gptSeq, 17)
-
-		sIDs, sTg, per := model.ShardBatch(ids, targets, batch, 2, replica)
-		for s := 0; s < steps; s++ {
-			m.ZeroGrads()
-			m.Loss(sIDs, sTg, per)
-			m.Backward()
-			for _, g := range m.ShardGrads() {
-				dpGroup.AllReduceAvg(g)
-			}
-			for _, g := range m.ReplicatedGrads() {
-				dpGroup.AllReduceAvg(g)
-			}
-			m.SGDStep(lr)
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			gridEmb = append([]float32(nil), m.TokEmb...)
-			mu.Unlock()
-		}
-	})
-
-	if d := tensor.MaxDiff(gridEmb, refEmb); d > 2e-4 {
-		t.Errorf("2D-trained embeddings differ from single-replica full batch by %g", d)
-	}
 }
 
 // The full model learns under MP: loss falls over training.
 func TestGPTLearns(t *testing.T) {
-	const layers, hidden, heads, batch = 2, 32, 4, 4
+	cfg := gptConfig(2, 32, 4)
+	const batch = 4
 	ids, targets := model.SyntheticBatch(61, batch, gptSeq, gptVocab)
-	w := comm.NewWorld(2)
 	var first, last float64
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, layers, hidden, heads, gptVocab, gptSeq, 5)
+	comm.NewWorld(2).Run(func(c *comm.Comm) {
+		m := model.NewShard(cfg, 5, c)
 		for s := 0; s < 25; s++ {
-			m.ZeroGrads()
-			l := m.Loss(ids, targets, batch)
-			m.Backward()
-			m.SGDStep(0.05)
+			l := step(m, ids, targets, batch)
+			sgd(m, 0.05)
 			if c.Rank() == 0 {
 				if s == 0 {
 					first = l
@@ -217,13 +145,71 @@ func TestGPTLearns(t *testing.T) {
 	}
 }
 
+// NumParams agrees with Config.ParamCount at MP=1, and at MP=N the shards
+// hold every parameter exactly once beyond the replicated tensors.
 func TestGPTNumParams(t *testing.T) {
-	w := comm.NewWorld(1)
-	w.Run(func(c *comm.Comm) {
-		m := NewGPT(c, 2, 16, 2, gptVocab, gptSeq, 1)
-		want := model.Config{Layers: 2, Hidden: 16, Heads: 2, Vocab: gptVocab, Seq: gptSeq}.ParamCount()
-		if m.NumParams() != want {
-			t.Errorf("NumParams = %d, want %d (must agree with internal/model)", m.NumParams(), want)
+	cfg := gptConfig(2, 16, 2)
+	h := cfg.Hidden
+	replicated := (cfg.Vocab+cfg.Seq)*h + 2*h + cfg.Layers*6*h
+	for _, n := range []int{1, 2} {
+		counts := make([]int, n)
+		comm.NewWorld(n).Run(func(c *comm.Comm) {
+			counts[c.Rank()] = model.NewShard(cfg, 1, c).NumParams()
+		})
+		sum := 0
+		for _, k := range counts {
+			sum += k
 		}
+		if got, want := sum-(n-1)*replicated, cfg.ParamCount(); got != want {
+			t.Errorf("n=%d: shards hold %v params (%d net of replicas), want ParamCount %d", n, counts, got, want)
+		}
+	}
+}
+
+// The flagship integration: data parallelism ACROSS nodes with Megatron MP
+// INSIDE — a 2 MP × 2 DP grid training the full GPT, verified against the
+// same model at MP=2, DP=1 on the full batch.
+func TestGPT2DTrainingMatchesSingleReplica(t *testing.T) {
+	const (
+		mpSize = 2
+		batch  = 4
+		steps  = 3
+		lr     = 0.01
+	)
+	cfg := gptConfig(2, 16, 4)
+	ids, targets := model.SyntheticBatch(53, batch, gptSeq, gptVocab)
+
+	// Reference: one replica (MP=2), full batch.
+	ref := make([][]float32, mpSize)
+	comm.NewWorld(mpSize).Run(func(c *comm.Comm) {
+		m := model.NewShard(cfg, 17, c)
+		for s := 0; s < steps; s++ {
+			step(m, ids, targets, batch)
+			sgd(m, lr)
+		}
+		ref[c.Rank()] = m.Params
 	})
+
+	// 2×2 grid: each replica trains on half the batch; the flat shard
+	// gradients are averaged across the DP groups before the step.
+	grid := make([][]float32, 2*mpSize)
+	mpRank := make([]int, 2*mpSize)
+	comm.NewWorld(2 * mpSize).Run(func(c *comm.Comm) {
+		mpGroup := mustGroup(c.MPGroup(mpSize))
+		dpGroup := mustGroup(c.DPGroup(mpSize))
+		m := model.NewShard(cfg, 17, mpGroup)
+		sIDs, sTg, per := model.ShardBatch(ids, targets, batch, 2, dpGroup.Rank())
+		for s := 0; s < steps; s++ {
+			step(m, sIDs, sTg, per)
+			dpGroup.AllReduceAvg(m.Grads)
+			sgd(m, lr)
+		}
+		grid[c.Rank()], mpRank[c.Rank()] = m.Params, mpGroup.Rank()
+	})
+
+	for r := range grid {
+		if d := tensor.MaxDiff(grid[r], ref[mpRank[r]]); d > 2e-4 {
+			t.Errorf("rank %d: 2D-trained shard differs from single-replica full batch by %g", r, d)
+		}
+	}
 }

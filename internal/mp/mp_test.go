@@ -1,170 +1,176 @@
+// Package mp holds the Megatron tensor-parallelism contract tests (§10.1,
+// the paper's model-parallel baseline). The tensor-parallel model itself is
+// model.NewShard — the one GPT block split over an MP group — and these
+// tests drive it through its public surface only: per-rank shard layouts,
+// the collective Loss/Backward, and the traffic the group puts on the
+// wire. The package has no code of its own.
 package mp
 
 import (
-	"math/rand"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
-// serialMLP is the unsharded reference: y = GELU(x·W1+b1)·W2+b2 built from
-// the same deterministic full weights the parallel layers slice.
-type serialMLP struct {
-	w1, b1, w2, b2 []float32
-	hidden         int
-	h1, g          []float32
-	x              []float32
-	m              int
-}
-
-func newSerialMLP(hidden int, seed int64) *serialMLP {
-	return &serialMLP{
-		hidden: hidden,
-		w1:     fullWeight(hidden, 4*hidden, seed),
-		b1:     make([]float32, 4*hidden),
-		w2:     fullWeight(4*hidden, hidden, seed+1),
-		b2:     make([]float32, hidden),
+// segment returns the named tensor of m's (possibly sharded) layout.
+func segment(m *model.Model, name string) model.Segment {
+	for _, s := range m.Layout.Segments {
+		if s.Name == name {
+			return s
+		}
 	}
+	panic(fmt.Sprintf("mp test: model has no segment %q", name))
 }
 
-func (s *serialMLP) forward(x []float32, m int) []float32 {
-	s.x = append([]float32(nil), x...)
-	s.m = m
-	ffn := 4 * s.hidden
-	s.h1 = make([]float32, m*ffn)
-	tensor.MatMul(s.h1, x, s.w1, m, s.hidden, ffn)
-	s.g = make([]float32, m*ffn)
-	tensor.GELU(s.g, s.h1)
-	y := make([]float32, m*s.hidden)
-	tensor.MatMul(y, s.g, s.w2, m, ffn, s.hidden)
-	return y
+func params(m *model.Model, name string) []float32 {
+	s := segment(m, name)
+	return m.Params[s.Lo:s.Hi]
 }
 
-func (s *serialMLP) backward(dy []float32) (dx, dW1, dW2 []float32) {
-	ffn := 4 * s.hidden
-	dW2 = make([]float32, ffn*s.hidden)
-	tensor.MatMulATAdd(dW2, s.g, dy, s.m, ffn, s.hidden)
-	dg := make([]float32, s.m*ffn)
-	tensor.MatMulBT(dg, dy, s.w2, s.m, s.hidden, ffn)
-	dh1 := make([]float32, s.m*ffn)
-	tensor.GELUBackward(dh1, dg, s.h1)
-	dW1 = make([]float32, s.hidden*ffn)
-	tensor.MatMulATAdd(dW1, s.x, dh1, s.m, s.hidden, ffn)
-	dx = make([]float32, s.m*s.hidden)
-	tensor.MatMulBT(dx, dh1, s.w1, s.m, ffn, s.hidden)
-	return dx, dW1, dW2
+func grads(m *model.Model, name string) []float32 {
+	s := segment(m, name)
+	return m.Grads[s.Lo:s.Hi]
 }
 
-func randInput(m, h int, seed int64) []float32 {
-	r := rand.New(rand.NewSource(seed))
-	x := make([]float32, m*h)
-	for i := range x {
-		x[i] = float32(r.NormFloat64())
+// isSharded reports whether a segment is split over the MP group (the
+// attention QKV columns and projection rows, the MLP's FFN columns and
+// rows); everything else is replicated on every MP rank.
+func isSharded(name string) bool {
+	for _, suf := range []string{".wqkv", ".bqkv", ".wproj", ".w1", ".b1", ".w2"} {
+		if strings.HasSuffix(name, suf) {
+			return true
+		}
 	}
-	return x
+	return false
 }
 
-// The parallel MLP must compute the same function as the serial reference
-// for every MP degree, including degrees that do not divide 4h evenly.
+// columns copies columns cols of a rows×width row-major matrix.
+func columns(full []float32, rows, width int, cols comm.Range) []float32 {
+	out := make([]float32, 0, rows*cols.Len())
+	for i := 0; i < rows; i++ {
+		out = append(out, full[i*width+cols.Lo:i*width+cols.Hi]...)
+	}
+	return out
+}
+
+// step runs one forward+backward and returns the loss.
+func step(m *model.Model, ids, targets []int, batch int) float64 {
+	m.ZeroGrads()
+	loss := m.Loss(ids, targets, batch)
+	m.Backward()
+	return loss
+}
+
+// mlpConfig has 5 heads and 4h = 40 FFN columns, so MP degrees 2..4 split
+// the heads unevenly and MP=3 splits the FFN columns unevenly too.
+func mlpConfig() model.Config {
+	return model.Config{Layers: 1, Hidden: 10, Heads: 5, Vocab: 11, Seq: 6}
+}
+
+// The MLP of every MP rank holds FFN columns Partition(4h, N)[r]: those
+// columns of W1/b1 and those rows of W2, sliced bitwise from the unsharded
+// weights. Its gradients assembled back from the shards equal the serial
+// MLP's, for every MP degree including ones that do not divide 4h evenly.
 func TestParallelMLPMatchesSerial(t *testing.T) {
-	const hidden, m = 12, 6
-	x := randInput(m, hidden, 1)
-	dy := randInput(m, hidden, 2)
+	cfg := mlpConfig()
+	h, ffn := cfg.Hidden, 4*cfg.Hidden
+	const batch = 2
+	ids, targets := model.SyntheticBatch(1, batch, cfg.Seq, cfg.Vocab)
 
-	ref := newSerialMLP(hidden, 77)
-	wantY := ref.forward(x, m)
-	wantDx, wantDW1, wantDW2 := ref.backward(dy)
+	ref := model.New(cfg, 77)
+	refLoss := step(ref, ids, targets, batch)
 
 	for _, n := range []int{1, 2, 3, 4} {
-		w := comm.NewWorld(n)
+		dw1 := make([]float32, h*ffn)
+		db1 := make([]float32, ffn)
+		dw2 := make([]float32, ffn*h)
 		var mu sync.Mutex
-		dw1 := make([]float32, hidden*4*hidden)
-		dw2 := make([]float32, 4*hidden*hidden)
-		w.Run(func(c *comm.Comm) {
-			mlp := NewParallelMLP(c, hidden, 77)
-			y := mlp.Forward(x, m)
-			if d := tensor.MaxDiff(y, wantY); d > 1e-4 {
-				mu.Lock()
-				t.Errorf("n=%d rank %d: forward differs by %g", n, c.Rank(), d)
-				mu.Unlock()
-			}
-			dx := mlp.Backward(dy)
-			if d := tensor.MaxDiff(dx, wantDx); d > 1e-4 {
-				mu.Lock()
-				t.Errorf("n=%d rank %d: dx differs by %g", n, c.Rank(), d)
-				mu.Unlock()
-			}
-			// Assemble the sharded weight grads into full matrices.
+		comm.NewWorld(n).Run(func(c *comm.Comm) {
+			m := model.NewShard(cfg, 77, c)
+			f := comm.Partition(ffn, n)[c.Rank()]
 			mu.Lock()
-			cols := mlp.FC1.cols
-			for i := 0; i < hidden; i++ {
-				copy(dw1[i*4*hidden+cols.Lo:i*4*hidden+cols.Hi], mlp.FC1.DW[i*cols.Len():(i+1)*cols.Len()])
+			if d := tensor.MaxDiff(params(m, "block0.mlp.w1"), columns(params(ref, "block0.mlp.w1"), h, ffn, f)); d != 0 {
+				t.Errorf("n=%d rank %d: W1 shard is not columns %v of the serial W1 (off by %g)", n, c.Rank(), f, d)
 			}
-			rows := mlp.FC2.rows
-			copy(dw2[rows.Lo*hidden:rows.Hi*hidden], mlp.FC2.DW)
+			if d := tensor.MaxDiff(params(m, "block0.mlp.w2"), params(ref, "block0.mlp.w2")[f.Lo*h:f.Hi*h]); d != 0 {
+				t.Errorf("n=%d rank %d: W2 shard is not rows %v of the serial W2 (off by %g)", n, c.Rank(), f, d)
+			}
 			mu.Unlock()
-		})
-		if d := tensor.MaxDiff(dw1, wantDW1); d > 1e-4 {
-			t.Errorf("n=%d: assembled dW1 differs by %g", n, d)
-		}
-		if d := tensor.MaxDiff(dw2, wantDW2); d > 1e-4 {
-			t.Errorf("n=%d: assembled dW2 differs by %g", n, d)
-		}
-	}
-}
 
-// Each rank stores only its shard: 1/Nm of each weight matrix (±1 row/col).
-func TestWeightSharding(t *testing.T) {
-	const hidden = 16
-	for _, n := range []int{2, 4} {
-		w := comm.NewWorld(n)
-		var mu sync.Mutex
-		w.Run(func(c *comm.Comm) {
-			mlp := NewParallelMLP(c, hidden, 3)
-			full := hidden * 4 * hidden
+			loss := step(m, ids, targets, batch)
+
 			mu.Lock()
 			defer mu.Unlock()
-			if got := len(mlp.FC1.W); got > full/n+hidden {
-				t.Errorf("n=%d rank %d: FC1 shard %d elems, want ≈%d", n, c.Rank(), got, full/n)
+			if d := loss - refLoss; d > 1e-5 || d < -1e-5 {
+				t.Errorf("n=%d rank %d: loss %v, serial %v", n, c.Rank(), loss, refLoss)
 			}
-			if got := len(mlp.FC2.W); got > full/n+hidden {
-				t.Errorf("n=%d rank %d: FC2 shard %d elems, want ≈%d", n, c.Rank(), got, full/n)
+			g1 := grads(m, "block0.mlp.w1")
+			for i := 0; i < h; i++ {
+				copy(dw1[i*ffn+f.Lo:i*ffn+f.Hi], g1[i*f.Len():(i+1)*f.Len()])
 			}
+			copy(db1[f.Lo:f.Hi], grads(m, "block0.mlp.b1"))
+			copy(dw2[f.Lo*h:f.Hi*h], grads(m, "block0.mlp.w2"))
 		})
+		for _, p := range []struct {
+			name string
+			got  []float32
+		}{{"w1", dw1}, {"b1", db1}, {"w2", dw2}} {
+			if d := tensor.MaxDiff(p.got, grads(ref, "block0.mlp."+p.name)); d > 1e-5 {
+				t.Errorf("n=%d: assembled d%s differs from serial by %g", n, p.name, d)
+			}
+		}
 	}
 }
 
-// MP communication pattern: one all-reduce forward (g) + one backward (f),
-// each of M×h elements → per-rank volume 2·2·M·h·(N-1)/N per MLP
-// fwd+bwd pair.
+// Each rank stores only its shard: 1/N of each MLP weight matrix (±1 FFN
+// column's worth when N does not divide 4h).
+func TestWeightSharding(t *testing.T) {
+	for _, cfg := range []model.Config{
+		{Layers: 1, Hidden: 16, Heads: 4, Vocab: 11, Seq: 6},
+		mlpConfig(),
+	} {
+		h := cfg.Hidden
+		full := h * 4 * h
+		for _, n := range []int{2, 3, 4} {
+			var mu sync.Mutex
+			comm.NewWorld(n).Run(func(c *comm.Comm) {
+				m := model.NewShard(cfg, 3, c)
+				want := h * comm.Partition(4*h, n)[c.Rank()].Len()
+				mu.Lock()
+				defer mu.Unlock()
+				for _, name := range []string{"block0.mlp.w1", "block0.mlp.w2"} {
+					got := segment(m, name).Len()
+					if got != want || got > full/n+h {
+						t.Errorf("h=%d n=%d rank %d: %s shard %d elems, want %d ≈ %d/%d", h, n, c.Rank(), name, got, want, full, n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// MP communication pattern: per block one all-reduce forward after each
+// row-parallel product ("g") and one backward before each column-parallel
+// input ("f"), each of M×h elements on a ring → per-rank wire volume
+// 4·2·M·h·(N-1)/N per block forward+backward, and nothing else.
 func TestMPCommVolume(t *testing.T) {
-	const hidden, m, n = 8, 4, 4
-	x := randInput(m, hidden, 9)
-	dy := randInput(m, hidden, 10)
+	cfg := model.Config{Layers: 2, Hidden: 8, Heads: 4, Vocab: 11, Seq: 4}
+	const n, batch = 4, 2
+	ids, targets := model.SyntheticBatch(9, batch, cfg.Seq, cfg.Vocab)
 	w := comm.NewWorld(n)
 	w.Run(func(c *comm.Comm) {
-		mlp := NewParallelMLP(c, hidden, 5)
-		mlp.Forward(x, m)
-		mlp.Backward(dy)
+		step(model.NewShard(cfg, 5, c), ids, targets, batch)
 	})
-	want := int64(2 * 2 * m * hidden * (n - 1) / n)
+	m := batch * cfg.Seq
+	want := int64(cfg.Layers * 4 * 2 * m * cfg.Hidden * (n - 1) / n)
 	for r := 0; r < n; r++ {
 		if got := w.Stats(r).ElemsSent; got != want {
 			t.Errorf("rank %d sent %d elems, want %d", r, got, want)
-		}
-	}
-}
-
-// §8's headline inequality: Pa's extra all-gather traffic is under one
-// tenth of the Megatron block traffic, for any shape.
-func TestPaOverheadRatio(t *testing.T) {
-	for _, shape := range [][3]int{{16, 1024, 8192}, {2, 512, 1024}, {64, 2048, 16384}} {
-		mpVol := BlockAllReduceElems(shape[0], shape[1], shape[2])
-		paVol := PaOverheadElems(shape[0], shape[1], shape[2])
-		if ratio := float64(paVol) / float64(mpVol); ratio > 0.1 {
-			t.Errorf("shape %v: Pa overhead ratio %.3f, want ≤ 0.1", shape, ratio)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package mp
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/model"
 	"repro/internal/tensor"
 )
 
@@ -22,91 +24,71 @@ func mustGroup(g *comm.Comm, err error) *comm.Comm {
 // The paper's deployment topology (§10.1): Megatron MP inside each node,
 // data parallelism across nodes. This test runs a 4-rank world as a 2×2
 // grid — MP groups {0,1} and {2,3}, DP groups {0,2} and {1,3} — with each
-// replica computing a ParallelBlock over its half of the global batch and
-// the weight gradients summed across the DP groups, then checks the result
+// replica computing a one-block shard over its half of the global batch and
+// the flat gradients averaged across the DP groups, then checks the result
 // against a serial (MP=1) run over the full batch.
 func TestTwoDimensionalMPxDP(t *testing.T) {
 	const (
 		mpSize = 2
 		dpSize = 2
 		world  = mpSize * dpSize
-		hidden = 16
-		heads  = 4
-		seq    = 6
 		perDP  = 2 // batch rows per replica
 		batch  = perDP * dpSize
 	)
-	m := batch * seq
-	x := randInput(m, hidden, 51)
-	dy := randInput(m, hidden, 52)
+	cfg := model.Config{Layers: 1, Hidden: 16, Heads: 4, Vocab: 13, Seq: 6}
+	h, ffn := cfg.Hidden, 4*cfg.Hidden
+	ids, targets := model.SyntheticBatch(51, batch, cfg.Seq, cfg.Vocab)
 
 	// Serial reference over the full batch.
-	var refY, refDW1 []float32
-	refW := comm.NewWorld(1)
-	refW.Run(func(c *comm.Comm) {
-		blk := NewParallelBlock(c, hidden, heads, 66)
-		refY = blk.Forward(x, batch, seq)
-		blk.Backward(dy)
-		refDW1 = append([]float32(nil), blk.MLP.FC1.DW...)
-	})
+	ref := model.New(cfg, 66)
+	refLoss := step(ref, ids, targets, batch)
+	refDW1 := grads(ref, "block0.mlp.w1")
 
-	// 2×2 grid.
-	w := comm.NewWorld(world)
-	outputs := make([][]float32, world)
+	losses := make([]float64, world)
 	dw1 := make([][]float32, world)
 	mpRanks := make([]int, world)
 	var mu sync.Mutex
-	w.Run(func(c *comm.Comm) {
+	comm.NewWorld(world).Run(func(c *comm.Comm) {
 		mpGroup := mustGroup(c.MPGroup(mpSize))
 		dpGroup := mustGroup(c.DPGroup(mpSize))
-		replica := c.Rank() / mpSize
-
-		blk := NewParallelBlock(mpGroup, hidden, heads, 66)
+		m := model.NewShard(cfg, 66, mpGroup)
 
 		// This replica's slice of the global batch.
-		lo := replica * perDP * seq * hidden
-		hi := (replica + 1) * perDP * seq * hidden
-		y := blk.Forward(x[lo:hi], perDP, seq)
-		blk.Backward(dy[lo:hi])
+		sIDs, sTg, per := model.ShardBatch(ids, targets, batch, dpSize, dpGroup.Rank())
+		loss := step(m, sIDs, sTg, per)
 
-		// DP gradient sync: sum the matching weight shards across replicas
-		// (full-batch gradient = sum of per-replica sums).
-		for _, g := range [][]float32{
-			blk.Attn.DWQKV, blk.Attn.DWProj, blk.MLP.FC1.DW, blk.MLP.FC2.DW,
-			blk.DGamma1, blk.DBeta1, blk.DGamma2, blk.DBeta2,
-		} {
-			dpGroup.AllReduce(g)
-		}
+		// DP gradient sync: average the matching shards across replicas
+		// (full-batch mean gradient = mean of the per-replica means).
+		dpGroup.AllReduceAvg(m.Grads)
 
 		mu.Lock()
-		outputs[c.Rank()] = y
-		dw1[c.Rank()] = append([]float32(nil), blk.MLP.FC1.DW...)
+		losses[c.Rank()] = loss
+		dw1[c.Rank()] = append([]float32(nil), grads(m, "block0.mlp.w1")...)
 		mpRanks[c.Rank()] = mpGroup.Rank()
 		mu.Unlock()
 	})
 
-	// Forward: each replica's output must equal the serial output rows.
+	// Forward: the replicas' mean loss is the serial full-batch loss, and
+	// both MP ranks of a replica agree on it.
+	for local := 0; local < mpSize; local++ {
+		mean := (losses[local] + losses[local+mpSize]) / 2
+		if d := math.Abs(mean - refLoss); d > 1e-5 {
+			t.Errorf("MP rank %d: replica mean loss %v, serial %v", local, mean, refLoss)
+		}
+	}
 	for r := 0; r < world; r++ {
-		replica := r / mpSize
-		lo := replica * perDP * seq * hidden
-		hi := (replica + 1) * perDP * seq * hidden
-		if d := tensor.MaxDiff(outputs[r], refY[lo:hi]); d > 1e-4 {
-			t.Errorf("rank %d: replica output differs from serial rows by %g", r, d)
+		if base := r - mpRanks[r]; losses[r] != losses[base] {
+			t.Errorf("rank %d: loss %v, its MP rank 0 has %v", r, losses[r], losses[base])
 		}
 	}
 
-	// Backward: the DP-summed FC1 shard on each rank must equal the
+	// Backward: the DP-averaged FC1 shard on each rank must equal the
 	// corresponding column slice of the serial full-batch gradient.
-	ffn := 4 * hidden
 	parts := comm.Partition(ffn, mpSize)
 	for r := 0; r < world; r++ {
-		cols := parts[mpRanks[r]]
-		want := make([]float32, hidden*cols.Len())
-		for i := 0; i < hidden; i++ {
-			copy(want[i*cols.Len():(i+1)*cols.Len()], refDW1[i*ffn+cols.Lo:i*ffn+cols.Hi])
-		}
-		if d := tensor.MaxDiff(dw1[r], want); d > 1e-3 {
-			t.Errorf("rank %d: DP-summed FC1 gradient shard differs from serial by %g", r, d)
+		want := columns(refDW1, h, ffn, parts[mpRanks[r]])
+		if d := tensor.MaxDiff(dw1[r], want); d > 1e-5 {
+			t.Errorf("rank %d: DP-averaged FC1 gradient shard differs from serial by %g", r, d)
 		}
 	}
 
@@ -116,67 +98,6 @@ func TestTwoDimensionalMPxDP(t *testing.T) {
 			t.Errorf("DP group %d: replicas disagree on the synced gradient by %g", local, d)
 		}
 	}
-}
-
-// Group communicators: MP groups are consecutive, DP groups strided, and a
-// group all-reduce only touches its members.
-func TestGroupTopology(t *testing.T) {
-	const world, mpSize = 6, 3
-	w := comm.NewWorld(world)
-	sums := make([]float32, world)
-	w.Run(func(c *comm.Comm) {
-		mpGroup := mustGroup(c.MPGroup(mpSize))
-		dpGroup := mustGroup(c.DPGroup(mpSize))
-		if mpGroup.Size() != mpSize || dpGroup.Size() != world/mpSize {
-			t.Errorf("rank %d: group sizes %d/%d", c.Rank(), mpGroup.Size(), dpGroup.Size())
-		}
-		// Sum rank ids across the MP group: consecutive blocks.
-		x := []float32{float32(c.Rank())}
-		mpGroup.AllReduce(x)
-		sums[c.Rank()] = x[0]
-	})
-	// Ranks 0,1,2 sum to 3; ranks 3,4,5 sum to 12.
-	for r := 0; r < world; r++ {
-		want := float32(3)
-		if r >= mpSize {
-			want = 12
-		}
-		if sums[r] != want {
-			t.Errorf("rank %d: MP-group sum %v, want %v", r, sums[r], want)
-		}
-	}
-}
-
-func TestGroupBroadcastAndReduceScatter(t *testing.T) {
-	const world = 4
-	w := comm.NewWorld(world)
-	w.Run(func(c *comm.Comm) {
-		g := mustGroup(c.Subgroup([]int{0, 1, 2, 3}))
-		// Broadcast from group root 2.
-		x := make([]float32, 5)
-		if g.Rank() == 2 {
-			for i := range x {
-				x[i] = float32(i) + 10
-			}
-		}
-		g.Broadcast(x, 2)
-		if x[4] != 14 {
-			t.Errorf("rank %d: broadcast got %v", c.Rank(), x)
-		}
-		// Reduce-scatter + all-gather = all-reduce.
-		y := make([]float32, 9)
-		for i := range y {
-			y[i] = float32(c.Rank() + 1)
-		}
-		parts := comm.Partition(len(y), g.Size())
-		g.ReduceScatter(y, parts)
-		g.AllGather(y, parts)
-		for i, v := range y {
-			if v != 10 { // 1+2+3+4
-				t.Errorf("rank %d: y[%d] = %v, want 10", c.Rank(), i, v)
-			}
-		}
-	})
 }
 
 // Group construction surfaces structured errors (no panics): invalid member
